@@ -15,10 +15,16 @@ breadth-first search over a grid graph.
 from __future__ import annotations
 
 import gc
+import http.client
+import math
 import statistics
+import subprocess
+import sys
+import threading
 import time
 from collections import deque
-from typing import Callable, List, Tuple
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import List, Optional, Sequence, Tuple
 
 #: Median seconds of one ``unit()`` on the reference host (a 2-core
 #: Intel Xeon VM under Python 3.11), so scaled times read as that host's.
@@ -27,6 +33,22 @@ REFERENCE_S = 0.008
 REPEATS = 3
 #: Seconds of wall time between calibration points.
 INTERVAL_S = 0.5
+#: Echo round trips per HTTP calibration point; their median is the point.
+HTTP_REPEATS = 9
+#: Median seconds of one echo round trip on the reference host.
+HTTP_REFERENCE_S = 0.0008
+#: The unit for import time: third-party and standard modules of the
+#: kinds the program loads, imported by a fresh interpreter.  Import
+#: speed (unmarshalling, extension loading, page faults) drifts apart
+#: from the pure-Python unit above: on the reference host, scaling
+#: imports by ``unit()`` widened their run-to-run spread, while dividing
+#: by this unit halved it.
+IMPORT_UNIT = ("numpy, json, decimal, http.server, email.mime.multipart, "
+               "xml.dom.minidom, argparse, dataclasses, concurrent.futures")
+#: Median seconds of the import unit on the reference host.
+IMPORT_REFERENCE_S = 0.14
+#: Far above any import; a hung child fails the run instead of hanging.
+IMPORT_TIMEOUT_S = 120
 
 
 def unit() -> float:
@@ -64,21 +86,95 @@ def _piece() -> float:
     return total + sum(pairs.values())
 
 
+def child_import_seconds(modules: str, paths: Sequence[str] = ()) -> float:
+    """Seconds a fresh interpreter spends on ``import <modules>``.
+
+    The child times its own import, so interpreter start-up, which no
+    change to the program can move, stays out.
+    """
+    script = ("import sys, time\n"
+              f"sys.path[:0] = {list(paths)!r}\n"
+              "start = time.perf_counter()\n"
+              f"import {modules}\n"
+              "print(time.perf_counter() - start)\n")
+    completed = subprocess.run([sys.executable, "-c", script],
+                               stdout=subprocess.PIPE, check=True,
+                               timeout=IMPORT_TIMEOUT_S)
+    return float(completed.stdout.split()[-1])
+
+
+def scaled_import_seconds(module: str, paths: Sequence[str]) -> float:
+    """Import time of ``module`` in a fresh interpreter, in reference-host
+    seconds: divided by the import unit timed right after it."""
+    program = child_import_seconds(module, paths)
+    return program * IMPORT_REFERENCE_S / child_import_seconds(IMPORT_UNIT)
+
+
+class EchoServer:
+    """A stdlib HTTP/1.1 server that answers every GET with the same
+    bytes: a unit for the host's socket, thread and HTTP-parsing speed.
+
+    Each round trip opens a fresh connection, so the server starts a
+    thread for it, as the program's server does for each request.
+    """
+
+    def __init__(self) -> None:
+        body = b"x" * 2048
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       name="perfbench-echo", daemon=True)
+        self.thread.start()
+
+    def round_trip(self) -> float:
+        """Seconds of one GET on a fresh connection, body read."""
+        start = time.perf_counter()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", self.server.server_address[1], timeout=60)
+        try:
+            connection.request("GET", "/")
+            connection.getresponse().read()
+        finally:
+            connection.close()
+        return time.perf_counter() - start
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=10)
+
+
 class HostClock:
     """Calibration points taken through a run; speed factors from them.
 
-    The defaults are the in-process unit above; a workload whose ops are
-    whole processes passes a unit that starts one (see ``cli_load.py``).
+    With an ``echo`` server, each point also times echo round trips, and
+    the factor is the geometric mean of the pure-Python and the HTTP
+    factors.  That is for ``serve``, whose ops spend part of their time
+    in Python and part in sockets and thread hand-offs: over four groups
+    of four to six runs on the reference host, some with a competing
+    CPU hog, the blend kept every spread within 6.5%, while either unit
+    alone let one group spread 13-21%.
     """
 
-    def __init__(self, unit: Callable[[], object] = unit,
-                 reference_s: float = REFERENCE_S,
-                 interval_s: float = INTERVAL_S) -> None:
-        self.unit = unit
-        self.reference_s = reference_s
-        self.interval_s = interval_s
+    def __init__(self, echo: Optional[EchoServer] = None) -> None:
         #: (perf_counter when taken, unit seconds)
         self.points: List[Tuple[float, float]] = []
+        self.echo = echo
+        self.http_points: List[float] = []
         self._last = float("-inf")
 
     def measure(self) -> None:
@@ -90,19 +186,26 @@ class HostClock:
         try:
             for _ in range(REPEATS):
                 start = time.perf_counter()
-                self.unit()
+                unit()
                 best = min(best, time.perf_counter() - start)
         finally:
             if collecting:
                 gc.enable()
+        if self.echo is not None:
+            self.http_points.append(statistics.median(
+                self.echo.round_trip() for _ in range(HTTP_REPEATS)))
         self._last = time.perf_counter()
         self.points.append((self._last, best))
 
     def maybe_measure(self) -> None:
-        if time.perf_counter() - self._last >= self.interval_s:
+        if time.perf_counter() - self._last >= INTERVAL_S:
             self.measure()
 
     def scale(self) -> float:
         """Factor turning this run's seconds into reference-host seconds."""
-        return self.reference_s / statistics.median(unit_s for _, unit_s
-                                                     in self.points)
+        factor = REFERENCE_S / statistics.median(unit_s for _, unit_s
+                                                 in self.points)
+        if not self.http_points:
+            return factor
+        return math.sqrt(factor * HTTP_REFERENCE_S
+                         / statistics.median(self.http_points))

@@ -29,8 +29,12 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-#: Set-ups per run; ``setup_s`` is their median plus the import time.
+#: Set-ups per run; ``setup_s`` is the median of their times.
 SETUP_REPEATS = 5
+#: Peak RSS is read at the end of this many rounds, so it measures a
+#: fixed amount of work however many rounds the host's speed allows.
+#: Every run lasts at least this many rounds.
+RSS_ROUNDS = 3
 
 
 @dataclass
@@ -62,6 +66,8 @@ class Measurement:
     failed: int = 0
     problems: List[str] = field(default_factory=list)
     rounds: int = 0
+    #: Peak RSS (MiB) at the end of round ``RSS_ROUNDS``.
+    rss_mb: float = 0.0
 
     def fail(self, problem: str) -> None:
         self.failed += 1
@@ -80,34 +86,42 @@ def percentile(values: List[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
 
-def peak_rss_mb(children: bool = False) -> float:
+def peak_rss_mb() -> float:
     """Max resident set size in MiB (Linux reports ``ru_maxrss`` in KiB)."""
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    return resource.getrusage(who).ru_maxrss / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def timed_setups(workload, clock) -> float:
-    """Set the fixture up ``SETUP_REPEATS`` times; the median seconds.
+def timed_setups(workload, clock, imports: Callable[[], float]) -> float:
+    """Set up ``SETUP_REPEATS`` times; the median reference-host seconds
+    of one set-up.
 
-    The host ``clock`` takes a point after each set-up, so set-up time
-    can be scaled by the host's speed while it ran.  The last fixture
-    stays up for the measured loop.
+    One set-up is what a fresh process pays before its first op: the
+    imports, as ``imports()`` times and scales them in a fresh
+    interpreter, plus ``workload.setup()``.  A single in-process import
+    would be one cold sample taken in the slow first seconds of the
+    process.  The host ``clock`` takes a point after each set-up; the
+    fixture times are scaled by its factor over those points.  The last
+    fixture stays up for the measured loop.
     """
-    durations = []
+    import_s, fixture_s = [], []
     for repeat in range(SETUP_REPEATS):
         if repeat:
             workload.teardown()
+        import_s.append(imports())
         start = time.perf_counter()
         workload.setup()
-        durations.append(time.perf_counter() - start)
+        fixture_s.append(time.perf_counter() - start)
         clock.measure()
-    return statistics.median(durations)
+    scale = clock.scale()
+    return statistics.median(imported + fixture * scale
+                             for imported, fixture in zip(import_s, fixture_s))
 
 
 def run_loop(workload, seconds: float, clock, probe=None,
              on_round_end: Optional[Callable[[int], None]] = None
              ) -> Measurement:
-    """Run whole rounds until ``seconds`` of wall time have passed.
+    """Run whole rounds until ``seconds`` of wall time have passed, and
+    at least ``RSS_ROUNDS`` rounds.
 
     Between ops (untimed) the host ``clock`` takes a calibration point
     whenever its interval has passed.  With a ``probe``, even rounds run
@@ -118,7 +132,7 @@ def run_loop(workload, seconds: float, clock, probe=None,
     result = Measurement()
     deadline = time.perf_counter() + seconds
     round_index = 0
-    while round_index == 0 or time.perf_counter() < deadline:
+    while round_index < RSS_ROUNDS or time.perf_counter() < deadline:
         traced = probe is not None and round_index % 2 == 0
         if traced:
             probe.install()
@@ -132,6 +146,8 @@ def run_loop(workload, seconds: float, clock, probe=None,
         if on_round_end is not None:
             on_round_end(round_index)
         round_index += 1
+        if round_index == RSS_ROUNDS:
+            result.rss_mb = peak_rss_mb()
     result.rounds = round_index
     clock.measure()
     return result
@@ -173,27 +189,26 @@ def slot_medians(samples: List[Sample]) -> List[float]:
     return [statistics.median(by_slot[slot]) for slot in sorted(by_slot)]
 
 
-def end_to_end(measurement: Measurement, setup_s: float, rss_mb: float,
-               setup_scale: float, scale: float) -> Dict[str, Dict[str, Any]]:
+def end_to_end(measurement: Measurement, setup_s: float,
+               scale: float) -> Dict[str, Dict[str, Any]]:
     """The end-to-end metrics of an untraced run.
 
     Each slot contributes its median latency across rounds: throughput is
     slots per second of one round made of those medians, and the latency
     percentiles are taken over them.  A host stall during a few rounds
-    therefore moves no metric much.  Times are multiplied by the host
-    clock's factor to reference-host seconds (``calibrate.py``): set-up
-    by ``setup_scale``, from the points taken during set-up, the rest by
-    ``scale``.
+    therefore moves no metric much.  Latencies and throughput are
+    multiplied by the host clock's factor ``scale`` to reference-host
+    seconds (``calibrate.py``); ``setup_s`` comes scaled already.
     """
     typical = slot_medians(measurement.samples)
     latencies = [seconds * 1000.0 * scale for seconds in typical]
     return {
-        "setup_s": metric(setup_s * setup_scale, "s"),
+        "setup_s": metric(setup_s, "s"),
         "throughput_ops_s": metric(len(typical) / (sum(typical) * scale),
                                    "1/s"),
         "latency_p50_ms": metric(percentile(latencies, 50), "ms"),
         "latency_p95_ms": metric(percentile(latencies, 95), "ms"),
-        "peak_rss_mb": metric(rss_mb, "MB"),
+        "peak_rss_mb": metric(measurement.rss_mb, "MB"),
     }
 
 

@@ -52,7 +52,7 @@ def fingerprint(program) -> Tuple:
 class Workload:
     name = "compile"
 
-    def __init__(self, seed: int, checkout: str, scratch: str):
+    def __init__(self, seed: int, scratch: str):
         self.seed = seed
         self.inputs: List[CompileInput] = []
         self.reference: Dict[int, Tuple] = {}

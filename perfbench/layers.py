@@ -24,10 +24,6 @@ STRATEGY_SLUGS = {
 SERVE_ROUTES = ("post_run", "get_results", "post_sweeps", "get_sweep_stream",
                 "fleet_claim", "fleet_complete")
 
-#: Trace span names the CLI writes, summarised per name.
-CLI_SPANS = ("tasks", "session.run", "compile", "shots", "store.read",
-             "store.write")
-
 # (name, unit, better)
 PER_LAYER: List[Tuple[str, str, str]] = [
     ("routing.propose_swap.calls", "count", "lower"),
@@ -81,20 +77,11 @@ PER_LAYER += [
     ("fleet.complete.ms", "ms", "lower"),
     ("fleet.claims", "count", "lower"),
     ("fleet.idle_claims", "count", "lower"),
+    ("session.run.calls", "count", "lower"),
+    ("session.run.ms", "ms", "lower"),
     ("cache.hits", "count", "higher"),
     ("cache.misses", "count", "lower"),
     ("cache.memory_entries", "count", "lower"),
-]
-PER_LAYER += [(f"span.{name}.{field}", unit, "lower")
-              for name in CLI_SPANS
-              for field, unit in (("count", "count"), ("total_ms", "ms"),
-                                  ("self_ms", "ms"), ("p50_ms", "ms"),
-                                  ("p95_ms", "ms"))]
-PER_LAYER += [
-    ("cli.pool_startup_ms", "ms", "lower"),
-    ("cli.startup_ms", "ms", "lower"),
-    ("cli.read_p50_ms", "ms", "lower"),
-    ("cli.write_p50_ms", "ms", "lower"),
     ("obs.traced_throughput_ops_s", "1/s", "higher"),
     ("obs.untraced_throughput_ops_s", "1/s", "higher"),
     ("obs.overhead_ratio", "ratio", "lower"),

@@ -64,7 +64,7 @@ def generated_swaps(strategy) -> int:
 class Workload:
     name = "loss"
 
-    def __init__(self, seed: int, checkout: str, scratch: str):
+    def __init__(self, seed: int, scratch: str):
         self.seed = seed
         self.scratch = scratch
         self.session: Optional[Session] = None

@@ -16,7 +16,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 Label = Union[str, Callable[..., str]]
 After = Optional[Callable[["Probe", Any, tuple], None]]
@@ -64,6 +65,27 @@ class Probe:
             else:
                 delattr(owner, attr)
         self._saved.clear()
+
+    def timed_stream(self, stream: Iterator, name: str) -> Iterator:
+        """``stream``, with the time spent producing each item added to
+        ``name`` (a response body drained after its handler returned)."""
+        try:
+            while True:
+                start = time.perf_counter()
+                try:
+                    item = next(stream)
+                except StopIteration:
+                    return
+                finally:
+                    elapsed = time.perf_counter() - start
+                    with self._lock:
+                        self.seconds[name] += elapsed
+                        self.self_seconds[name] += elapsed
+                yield item
+        finally:
+            close = getattr(stream, "close", None)
+            if close is not None:
+                close()
 
     def snapshot(self) -> Dict[str, Counter]:
         with self._lock:

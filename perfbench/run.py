@@ -3,27 +3,24 @@
     python3 perfbench/run.py --workload compile --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout.  The program under test is imported
-from ``src/`` of the same checkout (the CLI workload starts it with
-``python -m repro``).  The last line of stdout is one JSON object:
-``correct``, ``attempted``, ``failed`` and ``metrics`` -- the end-to-end
-metrics with ``--trace 0``, the per-layer metrics with ``--trace 1``.
-The line before it states the sample counts behind the numbers.
+from ``src/`` of the same checkout.  The last line of stdout is one JSON
+object: ``correct``, ``attempted``, ``failed`` and ``metrics`` -- the
+end-to-end metrics with ``--trace 0``, the per-layer metrics with
+``--trace 1``.  The line before it states the sample counts behind the
+numbers.
 
 Exits 2 without a result when the checkout holds no program to measure.
 """
 
 from __future__ import annotations
 
-import time
-
-_STARTED = time.perf_counter()
-
-import argparse  # noqa: E402
-import importlib  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import shutil  # noqa: E402
-import sys  # noqa: E402
+import argparse
+import importlib
+import json
+import os
+import shutil
+import sys
+from functools import partial
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CHECKOUT = os.path.dirname(HERE)
@@ -33,7 +30,6 @@ WORKLOADS = {
     "compile": "compile_load",
     "loss": "loss_load",
     "serve": "serve_load",
-    "cli": "cli_load",
 }
 
 
@@ -55,16 +51,16 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, SOURCE)
 
-    from calibrate import HostClock
-    from common import (end_to_end, peak_rss_mb, run_loop, scratch_root,
-                        summary_line, throughput, timed_setups)
+    from calibrate import EchoServer, HostClock, scaled_import_seconds
+    from common import (end_to_end, run_loop, scratch_root, summary_line,
+                        throughput, timed_setups)
     from layers import PER_LAYER
     from probe import LayerView, Probe
 
-    module = importlib.import_module(WORKLOADS[args.workload])
+    module_name = WORKLOADS[args.workload]
+    module = importlib.import_module(module_name)
     scratch = scratch_root(CHECKOUT)
-    workload = module.Workload(args.seed, CHECKOUT, scratch)
-    import_s = time.perf_counter() - _STARTED
+    workload = module.Workload(args.seed, scratch)
     probe = Probe() if args.trace else None
     first_round = {}
 
@@ -73,22 +69,20 @@ def main(argv=None) -> int:
         if probe is not None and round_index == 0:
             first_round.update(probe.snapshot())
 
-    clock = (workload.make_clock() if hasattr(workload, "make_clock")
-             else HostClock())
+    # ``serve`` spends much of each op in sockets and threads, which the
+    # pure-Python unit does not track; an HTTP echo unit joins it there.
+    clock = HostClock(EchoServer() if args.workload == "serve" else None)
     try:
         clock.measure()
-        setup_s = import_s + timed_setups(workload, clock)
-        setup_scale = clock.scale()
+        setup_s = timed_setups(
+            workload, clock,
+            partial(scaled_import_seconds, module_name, [HERE, SOURCE]))
         if probe is not None:
             workload.add_probes(probe)
         measurement = run_loop(workload, args.seconds, clock, probe,
                                round_done)
         if probe is None:
-            metrics = end_to_end(
-                measurement, setup_s,
-                peak_rss_mb(children=getattr(workload, "children_rss",
-                                             False)),
-                setup_scale, clock.scale())
+            metrics = end_to_end(measurement, setup_s, clock.scale())
         else:
             traced = [s for s in measurement.samples if s.traced]
             untraced = [s for s in measurement.samples if not s.traced]
@@ -109,6 +103,8 @@ def main(argv=None) -> int:
                        for name, unit, _ in PER_LAYER}
     finally:
         workload.teardown()
+        if clock.echo is not None:
+            clock.echo.close()
         shutil.rmtree(scratch, ignore_errors=True)
         try:
             os.rmdir(os.path.dirname(scratch))

@@ -70,7 +70,7 @@ def route_slug(method: str, path: str) -> str:
 class Workload:
     name = "serve"
 
-    def __init__(self, seed: int, checkout: str, scratch: str):
+    def __init__(self, seed: int, scratch: str):
         self.seed = seed
         self.scratch = scratch
         self.server = None
@@ -246,13 +246,25 @@ class Workload:
             probe.count("store.bytes_written",
                         os.path.getsize(store._file_for(key)))
 
+        def on_handle(probe, response, args):
+            # A stream's body is produced after ``handle`` returned.
+            if response.stream is not None:
+                response.stream = probe.timed_stream(response.stream,
+                                                     route_label(*args))
+
         def on_claim(probe, job, args):
             probe.count("fleet.claims" if job else "fleet.idle_claims")
+
+        # The output check's reference session is not the layer measured.
+        def session_label(session, *args, **kwargs):
+            return ("session.reference" if session is self.reference
+                    else "session.run")
 
         probe.add(ResultStore, "get", "store.get")
         probe.add(ResultStore, "put", "store.put", on_put)
         probe.add(ResultStore, "record", "store.record")
-        probe.add(self.server.app, "handle", route_label)
+        probe.add(self.server.app, "handle", route_label, on_handle)
+        probe.add(Session, "run", session_label)
         probe.add(self.worker.client, "claim", "fleet.claim", on_claim)
         probe.add(self.worker.client, "complete", "fleet.complete")
         probe.add(self, "_request", "serve.client")
@@ -291,6 +303,8 @@ class Workload:
         values["fleet.complete.ms"] = view.ms("fleet.complete")
         values["fleet.claims"] = view.count("fleet.claims")
         values["fleet.idle_claims"] = view.count("fleet.idle_claims")
+        values["session.run.calls"] = view.calls("session.run")
+        values["session.run.ms"] = view.ms("session.run")
         _, _, body = self._request("GET", "/metrics")
         wait = json.loads(body)["latency"].get("queue_wait_seconds", {})
         wait = wait.get("all", {"count": 0, "sum": 0.0})

@@ -130,6 +130,57 @@ def test_probe_restores_what_it_wrapped():
     assert probe.calls["topology.shortest_path"] == 1
 
 
+def test_timed_stream_times_draining_and_closes_the_body():
+    closed = []
+
+    def body():
+        try:
+            yield b"first"
+            yield b"second"
+        finally:
+            closed.append(True)
+
+    probe = Probe()
+    stream = probe.timed_stream(body(), "serve.handle.get_sweep_stream")
+    assert next(stream) == b"first"
+    stream.close()
+    assert closed == [True]
+    assert probe.seconds["serve.handle.get_sweep_stream"] > 0
+
+
+def test_run_loop_reads_rss_after_a_fixed_number_of_rounds():
+    from common import RSS_ROUNDS, Op, run_loop
+
+    class OneOp:
+        def ops(self, round_index, traced):
+            return [Op("noop", lambda: None, lambda output: None)]
+
+    class NoClock:
+        def maybe_measure(self):
+            pass
+
+        def measure(self):
+            pass
+
+    measurement = run_loop(OneOp(), 0.0, NoClock())
+    assert measurement.rounds == RSS_ROUNDS
+    assert measurement.rss_mb > 0
+
+
+def test_http_clock_blends_both_units_and_stops_its_server():
+    from calibrate import EchoServer, HostClock
+
+    echo = EchoServer()
+    try:
+        clock = HostClock(echo)
+        clock.measure()
+        assert len(clock.points) == len(clock.http_points) == 1
+        assert 0 < clock.scale() < float("inf")
+    finally:
+        echo.close()
+    assert not echo.thread.is_alive()
+
+
 def test_benchmark_json_matches_the_metrics_printed():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         declared = json.load(f)
@@ -138,6 +189,6 @@ def test_benchmark_json_matches_the_metrics_printed():
     from common import Measurement, Sample, end_to_end
 
     measurement = Measurement(samples=[Sample(0, 0, "op", 0.001, False)])
-    printed = end_to_end(measurement, 1.0, 1.0, 1.0, 1.0)
+    printed = end_to_end(measurement, 1.0, 1.0)
     assert {m["name"]: m["unit"] for m in declared["end_to_end"]} == {
         name: value["unit"] for name, value in printed.items()}
