@@ -513,8 +513,7 @@ def _cmd_circuits(args) -> int:
         digest = args.digest
         if digest.startswith("circuit:"):
             digest = digest[len("circuit:"):]
-        matches = sorted({entry[0] for entry in circuits.entries()
-                          if entry[0].startswith(digest)})
+        matches = circuits.disk.matching(digest)
         if not matches:
             print(f"no stored circuit matches {args.digest!r} in "
                   f"{circuits.path}", file=sys.stderr)
@@ -574,8 +573,7 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.store_command == "show":
-        matches = sorted({key for key, _, _, _ in store.entries()
-                          if key.startswith(args.key)})
+        matches = store.disk.matching(args.key)
         if not matches:
             print(f"no stored result matches key {args.key!r} in "
                   f"{store.path}", file=sys.stderr)

@@ -9,9 +9,9 @@ Compilation results are cached process-wide (and, when a cache directory
 is configured, on disk across processes — see :mod:`repro.exec.cache`):
 the figure drivers and the pytest benchmarks hit the same (benchmark,
 size, architecture) points repeatedly, and compiled metrics are
-deterministic.  ``metrics_grid_map`` (legacy alias ``prewarm_metrics``)
-fans a batch of points out over the sweep engine so the serial driver
-code that follows finds everything already cached.
+deterministic.  ``metrics_grid_map`` fans a batch of points out over the
+sweep engine so the serial driver code that follows finds everything
+already cached.
 """
 
 from __future__ import annotations
@@ -187,11 +187,6 @@ def metrics_grid_map(
                           jobs=jobs)
     ):
         _CACHE[key] = metrics
-
-
-#: Legacy name for :func:`metrics_grid_map` (kept for callers that read
-#: it as "make the cache warm" rather than "run the grid").
-prewarm_metrics = metrics_grid_map
 
 
 def savings_points(

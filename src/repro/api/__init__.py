@@ -4,8 +4,7 @@ structured result contract.
 This package is the seam between the reproduction's internals and
 anything that embeds it — the CLI, services, notebooks:
 
-* :class:`Session` — owns jobs / compile cache / RNG policy; replaces
-  the old process-wide ``set_jobs``/``set_cache_dir`` globals and lets
+* :class:`Session` — owns jobs / compile cache / RNG policy, so
   differently-configured runs coexist in one process;
 * :class:`ExperimentSpec` / :func:`all_experiments` — the declarative
   registry every figure, ablation, and extension driver registers into;

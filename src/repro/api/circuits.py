@@ -11,27 +11,26 @@ What is stored is the **canonical QASM text** (``to_qasm(from_qasm(
 upload))``), not the upload verbatim: comments, blank lines, and
 whitespace are not part of program identity, so two uploads differing
 only in those collapse to one entry, and ``GET /circuits/<digest>``
-returns byte-identical text everywhere.  Writes are atomic (temp file +
-``os.replace``), re-adding an existing digest is a no-op (idempotent
-uploads), and :meth:`gc` bounds the directory with the shared
-LRU-by-mtime policy from :mod:`repro.exec.diskutil`.
+returns byte-identical text everywhere.  Entries live in a
+:class:`repro.exec.diskutil.ShardedDir` (``<digest[:2]>/<digest>.qasm``,
+the layout every store shares): writes are atomic, re-adding an existing
+digest is a no-op (idempotent uploads), and :meth:`gc` bounds the
+directory with the shared LRU-by-mtime policy.
 
 Reads re-verify: :meth:`get` re-digests the parsed circuit and treats a
-mismatch (torn write, tampered file) as a miss rather than silently
-running the wrong program under a right-looking name.
+mismatch (torn write, tampered file, bytes that are not UTF-8) as a
+miss rather than silently running the wrong program under a
+right-looking name.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.digest import circuit_digest, is_circuit_digest
 from repro.circuits.qasm import from_qasm, to_qasm
-from repro.exec.diskutil import lru_evict, sweep_stale_temp_files
+from repro.exec.diskutil import ShardedDir
 
 #: Environment variable naming the default circuit-store directory.
 CIRCUIT_DIR_ENV = "REPRO_CIRCUIT_DIR"
@@ -41,18 +40,9 @@ class CircuitStore:
     """On-disk circuits keyed by canonical gate-stream digest."""
 
     def __init__(self, path: str):
-        self.path = os.path.abspath(path)
-        self._warned_unwritable = False
-
-    def _warn_unwritable(self, error: OSError) -> None:
-        if self._warned_unwritable:
-            return
-        self._warned_unwritable = True
-        print(f"[circuit store {self.path} is not writable ({error}); "
-              "uploads will not persist]", file=sys.stderr)
-
-    def _file_for(self, digest: str) -> str:
-        return os.path.join(self.path, digest[:2], digest + ".qasm")
+        self.disk = ShardedDir(path, ".qasm", "circuit store",
+                               "uploads will not persist")
+        self.path = self.disk.path
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -70,43 +60,24 @@ class CircuitStore:
     def add_circuit(self, circuit: Circuit) -> str:
         """Ingest an in-memory circuit; returns the digest.  Idempotent."""
         digest = circuit_digest(circuit)
-        target = self._file_for(digest)
-        if os.path.exists(target):
-            return digest
-        directory = os.path.dirname(target)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".qasm"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8",
-                               newline="") as handle:
-                    handle.write(to_qasm(circuit))
-                os.replace(temp_path, target)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError as error:
-            self._warn_unwritable(error)
+        if not self.disk.has(digest):
+            self.disk.write(digest, to_qasm(circuit).encode("utf-8"))
         return digest
 
     # -- retrieval ---------------------------------------------------------------
 
     def get_qasm(self, digest: str) -> Optional[str]:
-        """The stored canonical QASM text for ``digest``, or ``None``."""
+        """The stored canonical QASM text for ``digest``, or ``None``
+        (also for an entry that is not UTF-8)."""
         if not is_circuit_digest(digest):
             return None
-        try:
-            with open(self._file_for(digest), "r",
-                      encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError:
+        data = self.disk.read(digest)
+        if data is None:
             return None
-        return text
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
 
     def get(self, digest: str) -> Optional[Circuit]:
         """The circuit stored under ``digest``, or ``None``.
@@ -125,52 +96,26 @@ class CircuitStore:
             return None
         if circuit_digest(circuit) != digest:
             return None
-        try:
-            os.utime(self._file_for(digest))
-        except OSError:
-            pass
+        self.disk.touch(digest)
         return circuit
 
     def has(self, digest: str) -> bool:
-        return (is_circuit_digest(digest)
-                and os.path.exists(self._file_for(digest)))
+        return is_circuit_digest(digest) and self.disk.has(digest)
 
     # -- maintenance -------------------------------------------------------------
 
     def entries(self) -> List[Tuple[str, str, int, float]]:
         """Every stored circuit as ``(digest, path, bytes, mtime)``."""
-        rows = []
-        for dirpath, _, filenames in os.walk(self.path):
-            for name in filenames:
-                if not name.endswith(".qasm") or name.startswith(".tmp-"):
-                    continue
-                target = os.path.join(dirpath, name)
-                try:
-                    info = os.stat(target)
-                except OSError:
-                    continue
-                rows.append((name[:-len(".qasm")], target,
-                             info.st_size, info.st_mtime))
-        return rows
+        return self.disk.entries()
 
     def stats(self) -> Dict[str, Any]:
-        rows = self.entries()
-        return {
-            "path": self.path,
-            "entries": len(rows),
-            "total_bytes": sum(size for _, _, size, _ in rows),
-        }
+        return self.disk.stats()
 
     def gc(self, max_bytes: int) -> Dict[str, int]:
         """Evict least-recently-used circuits until the store fits
-        ``max_bytes`` (shared policy: :mod:`repro.exec.diskutil`)."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        sweep_stale_temp_files(self.path, max_age_seconds=3600.0)
-        return lru_evict(
-            [(path, size, mtime) for _, path, size, mtime in self.entries()],
-            max_bytes,
-        )
+        ``max_bytes`` (shared policy: :meth:`repro.exec.diskutil.
+        ShardedDir.gc`)."""
+        return self.disk.gc(max_bytes)
 
     def __repr__(self) -> str:
         return f"CircuitStore({self.path!r})"

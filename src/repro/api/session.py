@@ -17,8 +17,7 @@ nests correctly and is safe under asyncio/threaded callers: code running
 inside ``with session.activate():`` (including ``repro.exec.run_tasks``
 and every ``cached_compile``) resolves *that* session.  Outside any
 ``activate()`` block, a lazily-constructed process **default session**
-applies — the legacy ``set_jobs``/``set_cache_dir`` shims mutate only
-that default.
+applies.
 """
 
 from __future__ import annotations

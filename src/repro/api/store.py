@@ -18,12 +18,12 @@ stale entries instead of ever replaying them.  Execution-policy
 parameters (``jobs``) stay out of the key: the determinism contract
 guarantees they never change output.
 
-Layout on disk mirrors the compile cache: sharded
-``<key[:2]>/<key>.json`` entry files written atomically (temp file +
-``os.replace``), plus an append-only run ledger ``ledger.jsonl`` — one
-``{"timestamp", "experiment", "key", "hit", "wall_s"}`` line per
-``Session.run`` through the store (plus a ``"trace"`` id when tracing
-was active) — for trend inspection.
+Entries use the sharded layout every store shares
+(:class:`repro.exec.diskutil.ShardedDir`): ``<key[:2]>/<key>.json``
+files written atomically, plus an append-only run ledger
+``ledger.jsonl`` — one ``{"timestamp", "experiment", "key", "hit",
+"wall_s"}`` line per ``Session.run`` through the store (plus a
+``"trace"`` id when tracing was active) — for trend inspection.
 :meth:`ResultStore.gc` bounds the directory with the same LRU-by-mtime
 policy (path tie-break included) as ``CompileCache.prune_disk``; entry
 reads touch mtimes so replayed results stay resident.
@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-import tempfile
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api import results as _results
 from repro.exec import keys as _keys
-from repro.exec.diskutil import lru_evict, sweep_stale_temp_files
+from repro.exec.diskutil import ShardedDir
 
 #: Environment variable naming the default result-store directory.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
@@ -143,26 +141,16 @@ class ResultStore:
     """On-disk store of result envelopes keyed by :func:`store_key`."""
 
     def __init__(self, path: str):
-        self.path = os.path.abspath(path)
+        self.disk = ShardedDir(path, ".json", "result store",
+                               "results will be recomputed, not persisted")
+        self.path = self.disk.path
         self.hits = 0
         self.misses = 0
-        self._warned_unwritable = False
-
-    def _warn_unwritable(self, error: OSError) -> None:
-        """One stderr line the first time persistence fails — the
-        degrade to pass-through execution must be observable, or an
-        unwritable volume silently recomputes forever."""
-        if self._warned_unwritable:
-            return
-        self._warned_unwritable = True
-        print(f"[result store {self.path} is not writable ({error}); "
-              "results will be recomputed, not persisted]",
-              file=sys.stderr)
 
     # -- entry i/o ---------------------------------------------------------------
 
     def _file_for(self, key: str) -> str:
-        return os.path.join(self.path, key[:2], key + ".json")
+        return self.disk.file_for(key)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored envelope for ``key``, or ``None``.
@@ -173,52 +161,31 @@ class ResultStore:
         """
         envelope = self.peek(key)
         if envelope is not None:
-            try:
-                os.utime(self._file_for(key))
-            except OSError:
-                pass
+            self.disk.touch(key)
         return envelope
 
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """:meth:`get` without the recency touch — for inspection tools
         (``store ls``/``show``) that must not distort LRU eviction
         order by reading."""
-        target = self._file_for(key)
+        data = self.disk.read(key)
+        if data is None:
+            return None
         try:
-            with open(target, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-        except (OSError, ValueError):
+            envelope = json.loads(data.decode("utf-8"))
+        except ValueError:
             return None
         if not isinstance(envelope, dict):
             return None
         return envelope
 
     def put(self, key: str, envelope: Dict[str, Any]) -> None:
-        """Persist one envelope atomically (temp file + ``os.replace``).
+        """Persist one envelope atomically.
 
         An unwritable store directory degrades to pass-through
         execution rather than failing the run that produced the result.
         """
-        target = self._file_for(key)
-        directory = os.path.dirname(target)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8",
-                               newline="") as handle:
-                    handle.write(canonical_json(envelope))
-                os.replace(temp_path, target)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError as error:
-            self._warn_unwritable(error)
+        self.disk.write(key, canonical_json(envelope).encode("utf-8"))
 
     # -- the run ledger ----------------------------------------------------------
 
@@ -255,7 +222,7 @@ class ResultStore:
             # An unwritable store degrades to pass-through execution;
             # losing a trend line must not fail the run itself — but the
             # degrade is announced once on stderr.
-            self._warn_unwritable(error)
+            self.disk.warn_unwritable(error)
 
     @staticmethod
     def _parse_ledger_lines(lines) -> List[Dict[str, Any]]:
@@ -317,42 +284,17 @@ class ResultStore:
 
     def entries(self) -> List[Tuple[str, str, int, float]]:
         """Every persisted entry as ``(key, path, bytes, mtime)``."""
-        rows = []
-        for dirpath, _, filenames in os.walk(self.path):
-            for name in filenames:
-                if not name.endswith(".json") or name.startswith(".tmp-"):
-                    continue
-                target = os.path.join(dirpath, name)
-                try:
-                    info = os.stat(target)
-                except OSError:
-                    continue
-                rows.append((name[:-len(".json")], target,
-                             info.st_size, info.st_mtime))
-        return rows
+        return self.disk.entries()
 
     def stats(self) -> Dict[str, Any]:
-        rows = self.entries()
-        return {
-            "path": self.path,
-            "entries": len(rows),
-            "total_bytes": sum(size for _, _, size, _ in rows),
-        }
+        return self.disk.stats()
 
     def gc(self, max_bytes: int) -> Dict[str, int]:
         """Evict least-recently-used entries until the entry files fit
         ``max_bytes`` — the same LRU policy as
-        ``CompileCache.prune_disk`` (one shared implementation:
-        :mod:`repro.exec.diskutil`).  The ledger is never evicted."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        # Orphans from killed writers never become entries, so evicting
-        # only entries could leave the directory over budget forever.
-        sweep_stale_temp_files(self.path, max_age_seconds=3600.0)
-        return lru_evict(
-            [(path, size, mtime) for _, path, size, mtime in self.entries()],
-            max_bytes,
-        )
+        ``CompileCache.prune_disk`` (:meth:`repro.exec.diskutil.
+        ShardedDir.gc`).  The ledger is never evicted."""
+        return self.disk.gc(max_bytes)
 
     def __repr__(self) -> str:
         return f"ResultStore({self.path!r})"

@@ -16,9 +16,7 @@ The subsystem has three parts:
 
 Execution *policy* (worker count, which cache, RNG base) lives on
 :class:`repro.api.Session` objects; the engine and cache resolve the
-active session per call.  ``set_jobs``/``set_cache_dir``/``swap_cache``
-remain importable as deprecation shims that forward to the process
-default session.
+active session per call.
 
 The invariant the whole package exists to uphold: **any worker count
 produces bitwise-identical results**, because every task's randomness is
@@ -31,8 +29,6 @@ from repro.exec.cache import (
     cached_compile,
     get_cache,
     get_cache_dir,
-    set_cache_dir,
-    swap_cache,
 )
 from repro.exec.engine import (
     ExecBackend,
@@ -41,7 +37,6 @@ from repro.exec.engine import (
     current_jobs,
     resolve_backend,
     run_tasks,
-    set_jobs,
     sweep_settings,
 )
 from repro.exec.grid import cell_key, grid_map
@@ -69,9 +64,6 @@ __all__ = [
     "get_cache_dir",
     "resolve_backend",
     "run_tasks",
-    "set_cache_dir",
-    "set_jobs",
-    "swap_cache",
     "sweep_settings",
     "task_grid",
     "task_key",

@@ -9,13 +9,16 @@ every compile with a two-tier cache:
 * an optional **on-disk** tier shared between processes and across runs,
   keyed by :func:`repro.exec.keys.compile_key`.
 
-Disk entries are content-addressed pickles written atomically (temp file
-+ ``os.replace``), so concurrent workers hammering the same directory
+Disk entries are content-addressed pickles in a
+:class:`repro.exec.diskutil.ShardedDir` (``<key[:2]>/<key>.pkl``,
+written atomically), so concurrent workers hammering the same directory
 never observe a torn entry; a corrupt or unreadable file is treated as a
-miss and overwritten.  Because a :class:`CompiledProgram` stores the
-wall-clock ``compile_seconds`` measured when it was first built, a warm
-cache also pins the *measured compile time* — which is what makes
-figure output containing compile durations reproducible run-to-run.
+miss and overwritten, and an unwritable directory degrades to the memory
+tier with one stderr warning.  Because a :class:`CompiledProgram`
+stores the wall-clock ``compile_seconds`` measured when it was first
+built, a warm cache also pins the *measured compile time* — which is
+what makes figure output containing compile durations reproducible
+run-to-run.
 
 Cached programs are shared objects: treat them as immutable (the loss
 strategies replace their program, never mutate it).
@@ -23,16 +26,13 @@ strategies replace their program, never mutate it).
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
-import warnings
 from typing import List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.core.config import CompilerConfig
 from repro.core.result import CompiledProgram
-from repro.exec.diskutil import lru_evict, sweep_stale_temp_files
+from repro.exec.diskutil import ShardedDir
 from repro.exec.keys import compile_key
 from repro.hardware.topology import Topology
 
@@ -44,7 +44,10 @@ class CompileCache:
     """Two-tier (memory + optional disk) store of compiled programs."""
 
     def __init__(self, path: Optional[str] = None):
-        self.path = os.path.abspath(path) if path else None
+        self.disk = (ShardedDir(path, ".pkl", "compile cache",
+                                "compiled programs stay in memory only")
+                     if path else None)
+        self.path = self.disk.path if self.disk is not None else None
         self._memory: dict = {}
         self.memory_hits = 0
         self.disk_hits = 0
@@ -67,8 +70,9 @@ class CompileCache:
 
     def store(self, key: str, program: CompiledProgram) -> None:
         self._memory[key] = program
-        if self.path is not None:
-            self._write_disk(key, program)
+        if self.disk is not None:
+            self.disk.write(key, pickle.dumps(
+                program, protocol=pickle.HIGHEST_PROTOCOL))
 
     def clear_memory(self) -> None:
         self._memory.clear()
@@ -83,107 +87,40 @@ class CompileCache:
 
     # -- disk tier ---------------------------------------------------------------
 
-    def _file_for(self, key: str) -> str:
-        return os.path.join(self.path, key[:2], key + ".pkl")
-
     def _read_disk(self, key: str) -> Optional[CompiledProgram]:
-        if self.path is None:
+        data = self.disk.read(key) if self.disk is not None else None
+        if data is None:
             return None
-        target = self._file_for(key)
         try:
-            with open(target, "rb") as handle:
-                program = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+            program = pickle.loads(data)
+        except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
             return None
         if not isinstance(program, CompiledProgram):
             return None
-        try:
-            # Touch on hit so prune_disk evicts least-recently-used
-            # entries first.
-            os.utime(target)
-        except OSError:
-            pass
+        # Touch on hit so prune_disk evicts least-recently-used entries
+        # first.
+        self.disk.touch(key)
         return program
-
-    def _write_disk(self, key: str, program: CompiledProgram) -> None:
-        target = self._file_for(key)
-        directory = os.path.dirname(target)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".pkl"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(program, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(temp_path, target)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # A read-only or full cache directory degrades to memory-only.
-            pass
 
     # -- disk-tier maintenance ---------------------------------------------------
 
     def disk_entries(self) -> List[Tuple[str, int, float]]:
-        """Every persisted entry as ``(path, bytes, mtime)``.
-
-        Skips in-flight temp files; a concurrently-deleted file is
-        silently dropped.
-        """
-        if self.path is None:
+        """Every persisted entry as ``(path, bytes, mtime)``."""
+        if self.disk is None:
             return []
-        entries = []
-        for dirpath, _, filenames in os.walk(self.path):
-            for name in filenames:
-                if not name.endswith(".pkl") or name.startswith(".tmp-"):
-                    continue
-                target = os.path.join(dirpath, name)
-                try:
-                    info = os.stat(target)
-                except OSError:
-                    continue
-                entries.append((target, info.st_size, info.st_mtime))
-        return entries
+        return [(path, size, mtime)
+                for _, path, size, mtime in self.disk.entries()]
 
     def disk_stats(self) -> dict:
-        entries = self.disk_entries()
-        return {
-            "path": self.path,
-            "entries": len(entries),
-            "total_bytes": sum(size for _, size, _ in entries),
-        }
-
-    def _sweep_stale_temp_files(self, max_age_seconds: float) -> None:
-        """Remove ``.tmp-*`` leftovers from writers that died mid-write
-        (see :func:`repro.exec.diskutil.sweep_stale_temp_files` for the
-        mtime-boundary contract)."""
-        if self.path is None:
-            return
-        sweep_stale_temp_files(self.path, max_age_seconds)
+        if self.disk is None:
+            return {"path": None, "entries": 0, "total_bytes": 0}
+        return self.disk.stats()
 
     def clear_disk(self) -> int:
         """Delete every persisted entry (and any orphaned temp files);
         returns the number of entries removed."""
-        removed = 0
-        for target, _, _ in self.disk_entries():
-            try:
-                os.unlink(target)
-                removed += 1
-            except OSError:
-                pass
-        # One second of grace covers the coarsest common mtime
-        # granularity: a temp file a live writer touched in the same
-        # second as this clear survives and becomes (or replaces) an
-        # entry; genuinely orphaned ones fall to the next maintenance
-        # pass.
-        self._sweep_stale_temp_files(max_age_seconds=1.0)
-        return removed
+        return self.disk.clear() if self.disk is not None else 0
 
     def prune_disk(self, max_bytes: int) -> dict:
         """Evict least-recently-used entries until the tier fits
@@ -193,18 +130,16 @@ class CompileCache:
         The in-memory tier is untouched (it dies with the process); only
         the unbounded on-disk tier needs eviction.
         """
-        # Orphans from killed writers never become entries, so evicting
-        # only entries could leave the directory over budget forever.
-        self._sweep_stale_temp_files(max_age_seconds=3600.0)
-        return lru_evict(self.disk_entries(), max_bytes)
+        if self.disk is None:
+            return {"removed": 0, "remaining_entries": 0,
+                    "remaining_bytes": 0}
+        return self.disk.gc(max_bytes)
 
 
-# -- session resolution and deprecation shims --------------------------------------
+# -- session resolution ------------------------------------------------------------
 
-# Execution state lives on repro.api.Session objects now.  The functions
-# below forward to the *current* session (reads) or mutate the process
-# *default* session (the deprecated writers), so legacy callers keep
-# working without reintroducing module-global mutable state.
+# Execution state lives on repro.api.Session objects; the functions below
+# read the *current* session.
 
 
 def get_cache() -> CompileCache:
@@ -212,54 +147,6 @@ def get_cache() -> CompileCache:
     from repro.api.session import current_session
 
     return current_session().cache
-
-
-def set_cache_dir(path: Optional[str]) -> CompileCache:
-    """Deprecated, slated for removal: repoint the *default session's*
-    cache at ``path``.
-
-    Prefer ``Session(cache_dir=...)``.  Always starts from an empty
-    memory tier, mirroring the historical behavior.  This shim is not
-    part of the supported ``repro.api.__all__`` surface and will be
-    removed in a future release.
-    """
-    from repro.api.session import default_session
-
-    warnings.warn(
-        "repro.exec.cache.set_cache_dir is deprecated and will be "
-        "removed; configure a repro.api.Session instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = default_session()
-    session.cache = CompileCache(path)
-    return session.cache
-
-
-def swap_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
-    """Deprecated, slated for removal: install ``cache`` on the
-    *default session*, returning the previous cache object (warm tier
-    and stats intact).  Prefer activating a dedicated ``Session``; like
-    the other legacy shims this is outside ``repro.api.__all__`` and
-    will be removed in a future release.
-
-    ``swap_cache(None)`` restores the historical "uninitialized" state:
-    a fresh cache rebuilt from ``REPRO_CACHE_DIR`` — it does NOT disable
-    the disk tier.
-    """
-    from repro.api.session import default_session
-
-    warnings.warn(
-        "repro.exec.cache.swap_cache is deprecated and will be removed; "
-        "activate a repro.api.Session instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = default_session()
-    previous = session.cache
-    session.cache = (cache if cache is not None
-                     else CompileCache(os.environ.get(CACHE_DIR_ENV) or None))
-    return previous
 
 
 def get_cache_dir() -> Optional[str]:

@@ -18,8 +18,7 @@ session's ``jobs`` count, exactly as it always has.
 Execution policy — worker count and compile cache — belongs to the
 active :class:`repro.api.Session`; ``run_tasks`` resolves it per call,
 so two differently-configured sessions can sweep concurrently in one
-process.  The legacy module-global setter (:func:`set_jobs`) survives
-only as a deprecation shim that mutates the process *default* session.
+process.
 
 Determinism contract: results are returned **in task order** regardless
 of completion order, and every stochastic task must derive its RNG seed
@@ -38,32 +37,9 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, List, Optional
-
-
-def set_jobs(jobs: int) -> None:
-    """Deprecated, slated for removal: set the *default session's*
-    worker count.
-
-    Prefer constructing a :class:`repro.api.Session` (or using
-    :func:`sweep_settings`) instead of mutating process state.  This
-    shim is not part of the supported ``repro.api.__all__`` surface and
-    will be removed in a future release.
-    """
-    from repro.api.session import default_session
-
-    warnings.warn(
-        "repro.exec.engine.set_jobs is deprecated and will be removed; "
-        "configure a repro.api.Session instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    default_session().jobs = int(jobs)
 
 
 def current_jobs() -> int:
@@ -136,7 +112,7 @@ def _reclaim_interrupted_temp_files(cache) -> None:
     Called only once every writer this run owned has stopped (inline
     execution, or after ``pool.shutdown(wait=True)``), so any temp file
     of ours still on disk is an orphan from a writer that died between
-    ``mkstemp`` and ``os.replace``.  The cache directory is shared,
+    creating it and ``os.replace``.  The cache directory is shared,
     though: another process (a server, a second CLI run) may be
     mid-write right now, and deleting *its* temp file would silently
     lose that persist (``os.replace`` failures degrade to memory-only).
@@ -145,10 +121,8 @@ def _reclaim_interrupted_temp_files(cache) -> None:
     than that survives to the next maintenance pass (``gc``/``prune``/
     ``clear``) instead.
     """
-    from repro.exec.diskutil import sweep_stale_temp_files
-
-    if cache is not None and cache.path is not None:
-        sweep_stale_temp_files(cache.path, max_age_seconds=1.0)
+    if cache is not None and cache.disk is not None:
+        cache.disk.sweep_temp_files(max_age_seconds=1.0)
 
 
 class ExecBackend:

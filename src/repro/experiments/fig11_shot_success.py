@@ -124,8 +124,8 @@ def run(
     """Regenerate Fig 11 (traces averaged pointwise over trials)."""
     from repro.analysis.architectures import (
         compiled_metrics,
+        metrics_grid_map,
         neutral_atom_arch,
-        prewarm_metrics,
     )
     from repro.exec.engine import run_tasks
 
@@ -134,7 +134,7 @@ def run(
     # Calibrate on the MID-3 native compilation, as a representative
     # anchor for "about 0.6 success to begin with".
     anchor_arch = neutral_atom_arch(mid=3.0, native_max_arity=3)
-    prewarm_metrics(
+    metrics_grid_map(
         (benchmark, program_size, anchor_arch, 0) for benchmark in benchmarks
     )
     for benchmark in benchmarks:

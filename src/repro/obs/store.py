@@ -1,7 +1,8 @@
 """Append-only JSONL trace sink — where spans land on disk.
 
-Layout mirrors the result store and compile cache: one file per trace,
-sharded as ``<trace_id[:2]>/<trace_id>.jsonl``, each line one span
+Layout is the one every store shares
+(:class:`repro.exec.diskutil.ShardedDir`): one file per trace, sharded
+as ``<trace_id[:2]>/<trace_id>.jsonl``, each line one span
 record (see :func:`repro.obs.trace.span_record`).  Appends are
 line-atomic on POSIX (single ``write`` of one ``\\n``-terminated line in
 append mode), so concurrent emitters — the server's request threads,
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.exec.diskutil import ShardedDir
 from repro.obs.trace import is_trace_id
 
 #: Environment variable naming the default trace-sink directory.
@@ -30,18 +31,9 @@ class TraceStore:
     """On-disk trace sink: one JSONL file per trace id."""
 
     def __init__(self, path: str):
-        self.path = os.path.abspath(path)
-        self._warned_unwritable = False
-
-    def _warn_unwritable(self, error: OSError) -> None:
-        if self._warned_unwritable:
-            return
-        self._warned_unwritable = True
-        print(f"[trace store {self.path} is not writable ({error}); "
-              "spans will be dropped]", file=sys.stderr)
-
-    def _file_for(self, trace_id: str) -> str:
-        return os.path.join(self.path, trace_id[:2], trace_id + ".jsonl")
+        self.disk = ShardedDir(path, ".jsonl", "trace store",
+                               "spans will be dropped")
+        self.path = self.disk.path
 
     # -- writing -----------------------------------------------------------------
 
@@ -50,14 +42,14 @@ class TraceStore:
         trace_id = record.get("trace")
         if not is_trace_id(trace_id):
             return
-        target = self._file_for(trace_id)
+        target = self.disk.file_for(trace_id)
         try:
             os.makedirs(os.path.dirname(target), exist_ok=True)
             line = json.dumps(record, sort_keys=True) + "\n"
             with open(target, "a", encoding="utf-8") as handle:
                 handle.write(line)
         except OSError as error:
-            self._warn_unwritable(error)
+            self.disk.warn_unwritable(error)
 
     def ingest(self, records, observer=None) -> int:
         """Append a batch of externally-produced records (``POST
@@ -85,19 +77,15 @@ class TraceStore:
     def read(self, trace_id: str) -> List[Dict[str, Any]]:
         """Every span of one trace, sorted by start time (stable on the
         span id so concurrent same-stamp spans order deterministically).
-        Empty when the trace is unknown."""
-        if not is_trace_id(trace_id):
-            return []
-        try:
-            with open(self._file_for(trace_id), "r",
-                      encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
+        Empty when the trace is unknown; a line that is not UTF-8 or
+        not a JSON object is skipped."""
+        data = self.disk.read(trace_id) if is_trace_id(trace_id) else None
+        if data is None:
             return []
         spans = []
-        for line in lines:
+        for line in data.splitlines():
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
             except ValueError:
                 continue
             if isinstance(record, dict):
@@ -110,33 +98,23 @@ class TraceStore:
         show`` convenience, like ``store show``), or ``None``; raises
         ``KeyError`` listing candidates when ambiguous."""
         if is_trace_id(prefix):
-            return prefix if os.path.exists(self._file_for(prefix)) else None
-        matches = [tid for tid, _, _ in self.traces()
-                   if tid.startswith(prefix)]
+            return prefix if self.disk.has(prefix) else None
+        matches = [trace_id for trace_id in self.disk.matching(prefix)
+                   if is_trace_id(trace_id)]
         if not matches:
             return None
         if len(matches) > 1:
             raise KeyError(
                 f"trace prefix {prefix!r} is ambiguous: "
-                + ", ".join(sorted(matches)[:5]))
+                + ", ".join(matches[:5]))
         return matches[0]
 
     def traces(self) -> List[Tuple[str, int, float]]:
-        """Every stored trace as ``(trace_id, spans_bytes, mtime)``."""
-        rows = []
-        for dirpath, _, filenames in os.walk(self.path):
-            for name in filenames:
-                if not name.endswith(".jsonl"):
-                    continue
-                trace_id = name[:-len(".jsonl")]
-                if not is_trace_id(trace_id):
-                    continue
-                target = os.path.join(dirpath, name)
-                try:
-                    info = os.stat(target)
-                except OSError:
-                    continue
-                rows.append((trace_id, info.st_size, info.st_mtime))
+        """Every stored trace as ``(trace_id, spans_bytes, mtime)``,
+        least recently written first."""
+        rows = [(trace_id, size, mtime)
+                for trace_id, _, size, mtime in self.disk.entries()
+                if is_trace_id(trace_id)]
         rows.sort(key=lambda row: (row[2], row[0]))
         return rows
 

@@ -130,6 +130,20 @@ class TestCircuitStore:
         # The stored bytes no longer digest to their address: refuse.
         assert store.get(digest) is None
 
+    def test_non_utf8_entry_is_a_miss(self, tmp_path):
+        """Undecodable bytes are a corrupt entry: a miss, not a
+        UnicodeDecodeError — so a job referencing the digest fails with
+        the upload-first KeyError."""
+        session = Session(circuit_dir=str(tmp_path))
+        digest = session.circuits.add(to_qasm(_sample_circuit()))
+        with open(session.circuits.disk.file_for(digest), "wb") as handle:
+            handle.write(b"OPENQASM 2.0;\n\xff\xfe\n")
+        assert session.circuits.get_qasm(digest) is None
+        assert session.circuits.get(digest) is None
+        with session.activate():
+            with pytest.raises(KeyError, match="upload"):
+                resolve_circuit(f"circuit:{digest}")
+
     def test_gc_evicts_down_to_budget(self, tmp_path):
         store = CircuitStore(str(tmp_path))
         for width in range(2, 8):

@@ -60,7 +60,7 @@ def test_fig10_identical_at_any_jobs(tmp_path):
            {k: v.losses_sustained for k, v in serial.cells.items()}
 
 
-def test_prewarm_metrics_matches_serial_compilation(tmp_path):
+def test_metrics_grid_map_matches_serial_compilation(tmp_path):
     """Metrics imported from parallel workers equal in-process compiles."""
     arch = architectures.neutral_atom_arch(mid=3.0, grid_side=6)
     points = [("bv", size, arch, 0) for size in (4, 6, 8)]
@@ -71,7 +71,7 @@ def test_prewarm_metrics_matches_serial_compilation(tmp_path):
 
     with engine.sweep_settings(jobs=2, cache_dir=str(tmp_path)):
         architectures.clear_cache()
-        architectures.prewarm_metrics(points)
+        architectures.metrics_grid_map(points)
         parallel = [architectures.compiled_metrics(*p) for p in points]
 
     architectures.clear_cache()

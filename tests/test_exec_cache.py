@@ -62,7 +62,7 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     with Session(cache_dir=str(tmp_path)).activate() as session:
         cached_compile(circuit, topology, config)
         key = compile_key(circuit, topology, config)
-        entry = session.cache._file_for(key)
+        entry = session.cache.disk.file_for(key)
     with open(entry, "wb") as handle:
         handle.write(b"not a pickle")
 
@@ -74,7 +74,7 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
 
 def test_non_program_pickle_is_a_miss(tmp_path):
     cache = CompileCache(str(tmp_path))
-    target = cache._file_for("ab" + "0" * 62)
+    target = cache.disk.file_for("ab" + "0" * 62)
     os.makedirs(os.path.dirname(target), exist_ok=True)
     with open(target, "wb") as handle:
         pickle.dump({"not": "a program"}, handle)
@@ -106,6 +106,22 @@ def test_unwritable_cache_dir_degrades_to_memory(tmp_path):
             assert program.op_count > 0
     finally:
         os.chmod(blocked, 0o700)
+
+
+def test_unwritable_cache_dir_warns_once(tmp_path, monkeypatch, capsys):
+    """The disk tier's degrade to memory-only is announced, once."""
+    def refuse(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.makedirs", refuse)
+    topology = Topology.square(5, 3.0)
+    with Session(cache_dir=str(tmp_path)).activate() as session:
+        for size in (4, 6):
+            cached_compile(build_circuit("bv", size), topology)
+        assert session.cache.stats()["misses"] == 2
+    err = capsys.readouterr().err
+    assert err.count("is not writable") == 1
+    assert "compile cache" in err
 
 
 def test_mid_mismatch_normalized_like_compile_circuit(tmp_path):

@@ -274,6 +274,17 @@ class TestTraceStore:
         assert accepted == 1
         assert _names(store.read(trace_id)) == ["ok"]
 
+    def test_read_skips_non_utf8_lines(self, tmp_path):
+        store = self._store(tmp_path)
+        trace_id = new_trace_id()
+        store.emit(span_record(trace_id, "a" * 16, None, "early", "s",
+                               100.0, 0.1))
+        with open(store.disk.file_for(trace_id), "ab") as handle:
+            handle.write(b'{"name": "\xff\xfe"}\n')
+        store.emit(span_record(trace_id, "b" * 16, None, "late", "s",
+                               200.0, 0.1))
+        assert _names(store.read(trace_id)) == ["early", "late"]
+
     def test_resolve_prefix(self, tmp_path):
         store = self._store(tmp_path)
         first = "aa" + "0" * 30
