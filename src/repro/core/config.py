@@ -45,8 +45,10 @@ class CompilerConfig:
     swap_depth_cost: int = 3
     #: Gate-count units charged per routing SWAP in reported metrics.
     swap_gate_cost: int = 3
-    #: Hard cap on scheduler timesteps, as a multiple of (gates + 1); a
-    #: compile exceeding it raises instead of looping forever.
+    #: Hard cap on scheduler timesteps, as a multiple of (gates + 1) (>= 1).
+    #: The scheduler raises :class:`SchedulingStalledError` when a compile
+    #: reaches it, or as soon as it detects a livelock that would; the cap
+    #: remains the backstop for stalls that never repeat a mapping.
     max_timestep_factor: int = 200
 
     def __post_init__(self) -> None:
@@ -66,6 +68,8 @@ class CompilerConfig:
             raise ValueError("lookahead_decay must be positive")
         if self.swap_depth_cost < 1 or self.swap_gate_cost < 1:
             raise ValueError("swap costs must be >= 1")
+        if self.max_timestep_factor < 1:
+            raise ValueError("max_timestep_factor must be >= 1")
 
     # -- derived -----------------------------------------------------------------
 

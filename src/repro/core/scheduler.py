@@ -10,10 +10,17 @@ program order:
    busy-site constraints ("the SWAP is executed if it can run parallel
    with the other executable operations, otherwise we must wait").
 
-SWAP effects apply between timesteps (parallel semantics).  A safety
-valve raises :class:`SchedulingStalledError` if the loop exceeds a
-generous timestep budget, which in practice only happens on disconnected
-topologies that slipped past the router.
+SWAP effects apply between timesteps (parallel semantics).
+
+Stalls happen on connected topologies too: on hole-riddled grids
+(recompilation after atom loss) the BFS fallback can swap two operands
+of one gate back and forth forever.  The scheduler raises
+:class:`SchedulingStalledError` when the loop reaches a timestep budget
+of ``max_timestep_factor * (gates + 1)``.  Over timesteps that complete
+no gate the next mapping is a pure function of the current one, so a
+repeated mapping inside such a stretch proves the budget will be
+reached; the scheduler then raises the budget's exact error at once
+instead of running the remaining timesteps.
 """
 
 from __future__ import annotations
@@ -79,12 +86,26 @@ def schedule_circuit(
             cached_num_done = frontier.num_done
         return cached_weights
 
+    def stalled() -> SchedulingStalledError:
+        return SchedulingStalledError(
+            f"no progress after {max_timesteps} timesteps "
+            f"({frontier.num_done}/{len(dag)} gates scheduled)"
+        )
+
+    # Livelock detection (Brent): within a stretch of timesteps that
+    # complete no gate, the frontier, the lookahead weights and the
+    # topology are fixed and routing is deterministic, so each timestep's
+    # ops and next mapping depend on ``phi`` alone.  A mapping seen
+    # earlier in the stretch therefore repeats forever and the budget
+    # below must trip.  States are compared exactly (``_apply_swap`` only
+    # reassigns existing keys, so ``phi``'s key order is stable); one
+    # checkpoint, moved at power-of-two stretch lengths, keeps memory O(1).
+    checkpoint: Optional[Tuple[int, ...]] = None
+    stretch = 0
+
     while not frontier.all_done():
         if len(schedule) >= max_timesteps:
-            raise SchedulingStalledError(
-                f"no progress after {len(schedule)} timesteps "
-                f"({frontier.num_done}/{len(dag)} gates scheduled)"
-            )
+            raise stalled()
         timestep_index = len(schedule)
         ops: List[ScheduledOp] = []
         zones: List[Zone] = []
@@ -155,6 +176,17 @@ def schedule_circuit(
         for site_a, site_b in pending_swaps:
             _apply_swap(phi, inverse_phi, site_a, site_b)
         schedule.append(ops)
+
+        if completed:
+            checkpoint = None
+            stretch = 0
+            continue
+        state = tuple(phi.values())
+        if state == checkpoint:
+            raise stalled()
+        stretch += 1
+        if stretch & (stretch - 1) == 0:
+            checkpoint = state
 
     return schedule, phi
 

@@ -35,6 +35,10 @@ class VirtualMap:
         self.site_to_role: Dict[int, int] = {r: r for r in used_roles}
         #: Total role shifts performed (each is one ~40 ns table update).
         self.shift_count = 0
+        #: Roles moved by shifts since the owner last cleared the list, in
+        #: shift order (a role moved twice appears twice).  Lets a strategy
+        #: re-check only the interactions whose operands moved.
+        self.moved_roles: List[int] = []
 
     def physical(self, role: int) -> int:
         """Physical site currently playing ``role``."""
@@ -116,6 +120,7 @@ class VirtualMap:
             displaced = self.site_to_role.get(candidate)
             self.site_to_role[candidate] = carried_role
             self.role_to_site[carried_role] = candidate
+            self.moved_roles.append(carried_role)
             moves += 1
             if displaced is None:
                 break  # Spare absorbed the shift.

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.circuits import Circuit
-from repro.circuits.gates import cx, h
+from repro.circuits.gates import ccx, cx, h
 from repro.core import CompilerConfig, compile_circuit
 from repro.core.result import ScheduledOp
-from repro.core.errors import SchedulingStalledError
+from repro.core.errors import DisconnectedTopologyError, SchedulingStalledError
 from repro.core.scheduler import schedule_circuit
 from repro.hardware import NoiseModel, Topology
 from repro.workloads import bernstein_vazirani
@@ -26,10 +26,19 @@ class TestConfigValidation:
         dict(lookahead_decay=0.0),
         dict(swap_depth_cost=0),
         dict(zone_scale=-1.0),
+        dict(max_timestep_factor=0),
+        dict(max_timestep_factor=-3),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CompilerConfig(**kwargs)
+
+    def test_max_timestep_factor_message(self):
+        # A factor below 1 used to be accepted, and then every compile with
+        # gates failed with "no progress after 0 timesteps".
+        with pytest.raises(ValueError, match="max_timestep_factor must be >= 1"):
+            CompilerConfig(max_timestep_factor=0)
+        assert CompilerConfig(max_timestep_factor=1).max_timestep_factor == 1
 
     def test_variants(self):
         config = CompilerConfig()
@@ -104,17 +113,45 @@ class TestSchedulerGuards:
                              {0: 0, 1: 0})
 
     def test_stall_guard_trips(self):
+        # A native Toffoli can never fit MID 1 on a square grid.  Once its
+        # operands form an L, no neighbour is strictly closer, and the BFS
+        # fallback swaps two of the operands back and forth forever.  The
+        # scheduler must raise the budget's error rather than loop.
+        topo = Topology.square(3, 1.0)
+        circuit = Circuit(3, [ccx(0, 1, 2)])
+        config = CompilerConfig(max_interaction_distance=1.0,
+                                max_timestep_factor=5)
+        with pytest.raises(SchedulingStalledError) as exc_info:
+            schedule_circuit(circuit, topo, config, {0: 0, 1: 1, 2: 4})
+        assert str(exc_info.value) == (
+            "no progress after 10 timesteps (0/1 gates scheduled)"
+        )
+
+    def test_budget_trips_without_a_repeated_mapping(self):
+        # The far CX needs three SWAPs before it can run, more than a
+        # budget of 1 x (1 + 1) timesteps: the budget is the backstop for
+        # stalls the livelock check cannot see.
+        topo = Topology.square(3, 1.0)
+        config = CompilerConfig(max_interaction_distance=1.0,
+                                max_timestep_factor=1)
+        with pytest.raises(SchedulingStalledError) as exc_info:
+            schedule_circuit(Circuit(2, [cx(0, 1)]), topo, config,
+                             {0: 0, 1: 8})
+        assert str(exc_info.value) == (
+            "no progress after 2 timesteps (0/1 gates scheduled)"
+        )
+
+    def test_disconnected_operands_raise(self):
         # A gate between two disconnected islands, fed directly to the
-        # scheduler with a pathological mapping, must raise rather than
-        # loop forever.
+        # scheduler with a pathological mapping.
         topo = Topology.square(3, 1.0)
         for site in (1, 4, 7):
             topo.remove_atom(site)
         circuit = Circuit(2, [cx(0, 1)])
         config = CompilerConfig(max_interaction_distance=1.0,
                                 max_timestep_factor=5)
-        with pytest.raises(Exception) as exc_info:
+        with pytest.raises(DisconnectedTopologyError) as exc_info:
             schedule_circuit(circuit, topo, config, {0: 0, 1: 2})
-        assert isinstance(
-            exc_info.value, (SchedulingStalledError, RuntimeError)
+        assert str(exc_info.value) == (
+            "cannot route gate cx 0, 1 — interaction graph is disconnected"
         )

@@ -1,8 +1,14 @@
 """Integration tests for the scheduler and the top-level compiler."""
 
+import random
+from typing import Dict, List, Optional, Set, Tuple
+
 import pytest
 
+import repro.core.scheduler as scheduler
 from repro.circuits import Circuit
+from repro.circuits.dag import CircuitDag, Frontier
+from repro.circuits.decompose import decompose_circuit
 from repro.circuits.gates import ccx, cx, h, x
 from repro.core import (
     CompilationError,
@@ -11,8 +17,14 @@ from repro.core import (
     compile_circuit,
     max_native_arity_for_distance,
 )
-from repro.core.errors import DisconnectedTopologyError
+from repro.core.errors import DisconnectedTopologyError, SchedulingStalledError
+from repro.core.mapping import initial_mapping
+from repro.core.result import ScheduledOp
+from repro.core.routing import propose_swap
+from repro.core.scheduler import _apply_swap, _zone_fits, _zone_of
+from repro.core.weights import frontier_weights, initial_weights
 from repro.hardware import Grid, Topology
+from repro.hardware.restriction import Zone
 from repro.workloads import bernstein_vazirani, build_circuit, cuccaro_adder
 
 
@@ -221,3 +233,207 @@ class TestMetricsTrends:
         summary = program.summary()
         assert {"qubits", "mid", "ops", "gates", "swaps", "depth",
                 "timesteps"} <= set(summary)
+
+
+# -- livelock detection: differential against the budget-only loop ----------------
+
+
+def reference_schedule_circuit(
+    circuit: Circuit,
+    topology: Topology,
+    config: CompilerConfig,
+    initial_mapping: Dict[int, int],
+    dag: Optional[CircuitDag] = None,
+) -> Tuple[List[List[ScheduledOp]], Dict[int, int]]:
+    """The budget-only scheduler loop, kept verbatim from before livelock
+    detection: it raises only when ``len(schedule)`` reaches the budget."""
+    if dag is None:
+        dag = CircuitDag(circuit)
+    frontier = Frontier(dag)
+    restriction = config.restriction_model()
+    grid = topology.grid
+
+    phi: Dict[int, int] = dict(initial_mapping)
+    inverse_phi: Dict[int, int] = {site: q for q, site in phi.items()}
+    if len(inverse_phi) != len(phi):
+        raise ValueError("initial mapping is not injective")
+
+    schedule: List[List[ScheduledOp]] = []
+    max_timesteps = config.max_timestep_factor * (len(circuit) + 1)
+    dag_gate = dag.gate
+    #: sites tuple -> Zone.  Zones are immutable functions of the operand
+    #: sites (restriction and grid are fixed per schedule), and the same
+    #: few site tuples recur timestep after timestep.
+    zone_cache: Dict[Tuple[int, ...], Zone] = {}
+
+    # The lookahead weights are pure functions of the set of completed
+    # gates, so they are computed lazily (only when a SWAP must actually
+    # be scored) and reused across consecutive swap-only timesteps.
+    cached_weights = None
+    cached_num_done = -1
+
+    def current_weights():
+        nonlocal cached_weights, cached_num_done
+        if cached_num_done != frontier.num_done:
+            cached_weights = frontier_weights(
+                frontier, config.lookahead_layers, config.lookahead_decay
+            )
+            cached_num_done = frontier.num_done
+        return cached_weights
+
+    while not frontier.all_done():
+        if len(schedule) >= max_timesteps:
+            raise SchedulingStalledError(
+                f"no progress after {len(schedule)} timesteps "
+                f"({frontier.num_done}/{len(dag)} gates scheduled)"
+            )
+        timestep_index = len(schedule)
+        ops: List[ScheduledOp] = []
+        zones: List[Zone] = []
+        busy: Set[int] = set()
+        completed: List[int] = []
+        pending_swaps: List[Tuple[int, int]] = []
+
+        ready = sorted(frontier.ready)
+        blocked_far: List[int] = []
+        track_zones = not restriction.disabled
+
+        site_of = phi.__getitem__
+
+        # Phase 1: execute everything already in range.
+        for idx in ready:
+            gate = dag_gate(idx)
+            sites = tuple(map(site_of, gate.qubits))
+            if not busy.isdisjoint(sites):
+                continue
+            if gate.arity >= 2 and not topology.can_interact(sites):
+                blocked_far.append(idx)
+                continue
+            if not _zone_fits(sites, zones, restriction, grid, zone_cache):
+                continue
+            ops.append(ScheduledOp(gate, sites, timestep_index, source_index=idx))
+            if track_zones:
+                zones.append(_zone_of(sites, restriction, grid, zone_cache))
+            busy.update(sites)
+            completed.append(idx)
+
+        # Phase 2: one routing SWAP per still-blocked gate, if it fits.
+        for idx in blocked_far:
+            gate = dag_gate(idx)
+            if not busy.isdisjoint(map(site_of, gate.qubits)):
+                continue
+            proposal = propose_swap(
+                gate.qubits, phi, inverse_phi, topology, current_weights()
+            )
+            if proposal is None:
+                if not ops and not pending_swaps:
+                    raise DisconnectedTopologyError(
+                        f"cannot route gate {gate} — interaction graph "
+                        "is disconnected"
+                    )
+                continue
+            swap_sites = proposal.sites
+            if not busy.isdisjoint(swap_sites):
+                continue
+            if not _zone_fits(swap_sites, zones, restriction, grid, zone_cache):
+                continue
+            ops.append(
+                ScheduledOp(None, swap_sites, timestep_index, source_index=None)
+            )
+            if track_zones:
+                zones.append(_zone_of(swap_sites, restriction, grid, zone_cache))
+            busy.update(swap_sites)
+            pending_swaps.append(swap_sites)
+
+        if not ops:
+            raise SchedulingStalledError(
+                "timestep committed no operations; "
+                f"{len(blocked_far)} gates blocked"
+            )
+
+        # Commit: mark gates done, then apply SWAP permutations.
+        for idx in completed:
+            frontier.complete(idx)
+        for site_a, site_b in pending_swaps:
+            _apply_swap(phi, inverse_phi, site_a, site_b)
+        schedule.append(ops)
+
+    return schedule, phi
+
+
+def holey_inputs(family, size, mid, holes):
+    """What ``compile_circuit`` hands the scheduler on a 10x10 grid with
+    ``holes`` lost: the lowered circuit, topology, config and placement."""
+    topology = Topology.square(10, mid)
+    for site in holes:
+        topology.remove_atom(site)
+    config = CompilerConfig(max_interaction_distance=mid)
+    lowered = decompose_circuit(
+        build_circuit(family, size), keep_swaps=True,
+        max_arity=min(config.native_max_arity,
+                      max_native_arity_for_distance(mid)),
+    )
+    dag = CircuitDag(lowered)
+    layout = initial_mapping(
+        lowered.num_qubits, topology,
+        initial_weights(dag, config.initial_mapping_layers,
+                        config.lookahead_decay),
+    )
+    return lowered, topology, config, layout
+
+
+def seeded_case(seed):
+    rng = random.Random(seed)
+    mid = rng.choice([1.0, 2.0, 3.0])
+    family = rng.choice(["cnu", "cuccaro", "qft-adder"])
+    size = rng.choice([10, 15, 20])
+    holes = rng.sample(range(100), rng.randint(5, 40))
+    return holey_inputs(family, size, mid, holes)
+
+
+def outcome(schedule_fn, circuit, topology, config, layout):
+    try:
+        return schedule_fn(circuit, topology, config, dict(layout))
+    except CompilationError as error:
+        return type(error), str(error)
+
+
+#: cnu at 20 qubits, MID 2, on a 10x10 grid with these 37 atoms lost: the
+#: BFS fallback swaps two operands of one Toffoli back and forth, and the
+#: budget-only loop runs all 200 x (19 + 1) timesteps before raising.
+LIVELOCK_HOLES = (0, 1, 4, 8, 11, 15, 16, 17, 18, 20, 21, 22, 23, 29, 30,
+                  35, 44, 46, 47, 48, 49, 50, 52, 53, 56, 61, 62, 63, 68,
+                  69, 80, 87, 90, 94, 96, 97, 99)
+
+
+class TestLivelockDetection:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_budget_only_reference(self, seed):
+        inputs = seeded_case(seed)
+        assert outcome(scheduler.schedule_circuit, *inputs) == outcome(
+            reference_schedule_circuit, *inputs)
+
+    def test_seeded_cases_cover_every_outcome(self):
+        kinds = set()
+        for seed in range(40):
+            result = outcome(scheduler.schedule_circuit, *seeded_case(seed))
+            kinds.add(result[0] if isinstance(result[0], type) else "ok")
+        assert kinds == {"ok", SchedulingStalledError,
+                         DisconnectedTopologyError}
+
+    def test_livelock_raises_budget_error_early(self, monkeypatch):
+        circuit, topology, config, layout = holey_inputs(
+            "cnu", 20, 2.0, LIVELOCK_HOLES)
+        calls = []
+
+        def counting_propose_swap(*args):
+            calls.append(args[0])
+            return propose_swap(*args)
+
+        monkeypatch.setattr(scheduler, "propose_swap", counting_propose_swap)
+        with pytest.raises(SchedulingStalledError) as exc_info:
+            scheduler.schedule_circuit(circuit, topology, config, layout)
+        assert str(exc_info.value) == (
+            "no progress after 4000 timesteps (8/19 gates scheduled)"
+        )
+        assert 0 < len(calls) < 100

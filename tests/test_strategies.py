@@ -1,5 +1,7 @@
 """Behavioural tests for the six §VI atom-loss coping strategies."""
 
+import random
+
 import pytest
 
 from repro.core import CompilerConfig
@@ -222,3 +224,57 @@ class TestSuccessAccounting:
             VirtualRemap().shot_success_rate(NOISE)
         with pytest.raises(RuntimeError):
             VirtualRemap().current_used_sites()
+
+
+def full_scan_violations(strategy):
+    """Every multiqubit op with an operand pair beyond the distance limit
+    under the current virtual map: the scan ``_violated_ops`` made over
+    the whole program after every shift before it became incremental."""
+    limit = strategy._distance_limit() + 1e-9
+    grid = strategy.topology.grid
+    translate = strategy.virtual_map.role_to_site
+    violated = []
+    for op in strategy.program.multiqubit_ops():
+        sites = [translate[s] for s in op.sites]
+        if any(grid.distance(sites[i], sites[j]) > limit
+               for i in range(len(sites))
+               for j in range(i + 1, len(sites))):
+            violated.append(op)
+    return violated
+
+
+class TestIncrementalViolationScan:
+    CASES = [
+        (VirtualRemap, 2.0), (VirtualRemap, 3.0),
+        (MinorReroute, 2.0), (MinorReroute, 3.0),
+        (CompileSmall, 3.0), (CompileSmall, 4.0),
+        (CompileSmallReroute, 3.0), (CompileSmallReroute, 4.0),
+    ]
+
+    @pytest.mark.parametrize("family", ["cnu", "cuccaro"])
+    @pytest.mark.parametrize("cls,mid", CASES)
+    def test_matches_full_scan_after_every_loss(self, cls, mid, family):
+        strategy = cls()
+        topology = Topology.square(10, mid)
+        strategy.begin(build_circuit(family, 20), topology,
+                       CompilerConfig(max_interaction_distance=mid))
+        rng = random.Random(f"{cls.__name__}-{mid}-{family}")
+        seen_violation = False
+        reloads = 0
+        for _ in range(120):
+            site = rng.choice(topology.active_sites())
+            topology.remove_atom(site)
+            outcome = strategy.on_loss(site)
+            violated = strategy._violated_ops()
+            assert violated == full_scan_violations(strategy)
+            seen_violation = seen_violation or bool(violated)
+            if not outcome.coped:
+                topology.reload()
+                strategy.after_reload()
+                reloads += 1
+                assert strategy._violated_ops() == full_scan_violations(
+                    strategy)
+        assert reloads > 0
+        if cls in (MinorReroute, CompileSmallReroute):
+            # Fixups let violations persist across later losses.
+            assert seen_violation

@@ -77,6 +77,12 @@ class TestShift:
         assert moves == 2
         assert vmap.physical(5) == 9
         assert vmap.physical(9) == 13
+        # Both moved roles are recorded, in shift order; a spare loss
+        # records nothing.
+        assert vmap.moved_roles == [5, 9]
+        topo.remove_atom(14)
+        vmap.shift_for_loss(14)
+        assert vmap.moved_roles == [5, 9]
 
     def test_shift_skips_lost_spare(self):
         # Only south reachable, and its first site is itself lost: the
