@@ -5,7 +5,7 @@ Times the full compile sweep and regenerates the figure's bar rows (mean
 BV line series.
 """
 
-from repro.analysis import clear_cache
+from repro.exec import get_cache
 from repro.experiments import fig3_gate_count
 
 MIDS = (2.0, 3.0, 5.0, 13.0)
@@ -14,7 +14,7 @@ STEP = 12
 
 
 def run_once():
-    clear_cache()
+    get_cache().metrics_memo.clear()
     return fig3_gate_count.run(
         mids=MIDS, max_size=MAX_SIZE, size_step=STEP,
         bv_line_sizes=(15, 27, 39),

@@ -1,13 +1,13 @@
 """Fig 4 bench — depth savings from interaction distance."""
 
-from repro.analysis import clear_cache
+from repro.exec import get_cache
 from repro.experiments import fig4_depth
 
 MIDS = (2.0, 3.0, 5.0, 13.0)
 
 
 def run_once():
-    clear_cache()
+    get_cache().metrics_memo.clear()
     return fig4_depth.run(
         mids=MIDS, max_size=40, size_step=12, qft_line_sizes=(10, 26),
     )

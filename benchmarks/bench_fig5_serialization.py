@@ -1,11 +1,11 @@
 """Fig 5 bench — depth increase from restriction-zone serialization."""
 
-from repro.analysis import clear_cache
+from repro.exec import get_cache
 from repro.experiments import fig5_serialization
 
 
 def run_once():
-    clear_cache()
+    get_cache().metrics_memo.clear()
     return fig5_serialization.run(
         mids=(2.0, 3.0, 5.0), max_size=30, size_step=10,
         qaoa_line_sizes=(20, 30),

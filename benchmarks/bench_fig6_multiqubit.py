@@ -1,11 +1,11 @@
 """Fig 6 bench — native Toffoli execution vs decomposition."""
 
-from repro.analysis import clear_cache
+from repro.exec import get_cache
 from repro.experiments import fig6_multiqubit
 
 
 def run_once():
-    clear_cache()
+    get_cache().metrics_memo.clear()
     return fig6_multiqubit.run(sizes=(20, 40, 60), mids=(2.0, 3.0, 5.0))
 
 

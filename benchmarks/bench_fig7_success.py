@@ -1,11 +1,11 @@
 """Fig 7 bench — program success rate vs two-qubit error, NA vs SC."""
 
-from repro.analysis import clear_cache
+from repro.exec import get_cache
 from repro.experiments import fig7_success
 
 
 def run_once():
-    clear_cache()
+    get_cache().metrics_memo.clear()
     return fig7_success.run(program_size=30, error_points=13)
 
 

@@ -1,11 +1,11 @@
 """Fig 8 bench — largest runnable program size vs two-qubit error."""
 
-from repro.analysis import clear_cache
+from repro.exec import get_cache
 from repro.experiments import fig8_program_size
 
 
 def run_once():
-    clear_cache()
+    get_cache().metrics_memo.clear()
     return fig8_program_size.run(max_size=50, size_step=10, error_points=11)
 
 

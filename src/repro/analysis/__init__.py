@@ -4,7 +4,6 @@ from repro.analysis.architectures import (
     Architecture,
     DEFAULT_GRID_SIDE,
     PAPER_MIDS,
-    clear_cache,
     compiled_metrics,
     neutral_atom_arch,
     superconducting_arch,
@@ -31,7 +30,6 @@ __all__ = [
     "SIZE_THRESHOLD",
     "SuccessComparison",
     "calibrate_two_qubit_error",
-    "clear_cache",
     "compare_architectures",
     "compiled_metrics",
     "error_sweep",

@@ -5,13 +5,12 @@
 * **SC** — the superconducting baseline: same grid, MID 1, no zones,
   everything decomposed to 1-2 qubit gates, IBM-Rome-era noise.
 
-Compilation results are cached process-wide (and, when a cache directory
-is configured, on disk across processes — see :mod:`repro.exec.cache`):
-the figure drivers and the pytest benchmarks hit the same (benchmark,
-size, architecture) points repeatedly, and compiled metrics are
-deterministic.  ``metrics_grid_map`` fans a batch of points out over the
-sweep engine so the serial driver code that follows finds everything
-already cached.
+Compiled metrics are memoized on the active session's compile cache
+(``CompileCache.metrics_memo``), not process-wide: the figure drivers
+hit the same (benchmark, size, architecture) points repeatedly, and
+compiled metrics are deterministic.  ``metrics_grid_map`` fans a batch
+of points out over the sweep engine so the serial driver code that
+follows finds everything already memoized.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import ProgramMetrics
 from repro.core.config import CompilerConfig
-from repro.exec.cache import cached_compile
+from repro.exec.cache import cached_compile, get_cache
 from repro.hardware.noise import NoiseModel
 from repro.hardware.topology import Topology
 from repro.workloads.ref import resolve_circuit
@@ -111,8 +110,6 @@ def trapped_ion_arch(
     )
 
 
-_CACHE: Dict[Tuple, ProgramMetrics] = {}
-
 #: One compilation point: (benchmark, num_qubits, arch) or
 #: (benchmark, num_qubits, arch, rng_seed).
 MetricPoint = Tuple
@@ -137,14 +134,13 @@ def compiled_metrics(
     resolved through the active session's circuit store — all sourced
     through the one :func:`repro.workloads.ref.resolve_circuit` seam.
     """
+    memo = get_cache().metrics_memo
     key = (benchmark, num_qubits, arch, rng_seed)
-    if key in _CACHE:
-        return _CACHE[key]
-    circuit = resolve_circuit(benchmark, num_qubits, rng=rng_seed)
-    program = cached_compile(circuit, arch.topology(), arch.config())
-    metrics = ProgramMetrics.from_program(program, benchmark=benchmark)
-    _CACHE[key] = metrics
-    return metrics
+    if key not in memo:
+        circuit = resolve_circuit(benchmark, num_qubits, rng=rng_seed)
+        program = cached_compile(circuit, arch.topology(), arch.config())
+        memo[key] = ProgramMetrics.from_program(program, benchmark=benchmark)
+    return memo[key]
 
 
 def _metrics_task(task: Dict) -> ProgramMetrics:
@@ -158,7 +154,7 @@ def metrics_grid_map(
     points: Iterable[MetricPoint], jobs: Optional[int] = None
 ) -> None:
     """Compile a batch of points as one task grid and prime the metrics
-    cache — the exec-engine route every compiled-metrics figure driver
+    memo — the exec-engine route every compiled-metrics figure driver
     takes before its serial aggregation pass.
 
     Compilation is deterministic (the grid seeds go unused), so fanning
@@ -168,11 +164,12 @@ def metrics_grid_map(
     """
     from repro.exec.grid import grid_map
 
+    memo = get_cache().metrics_memo
     pending: List[Tuple] = []
     seen = set()
     for point in points:
         key = _point_key(point)
-        if key in _CACHE or key in seen:
+        if key in memo or key in seen:
             continue
         seen.add(key)
         pending.append(key)
@@ -186,7 +183,7 @@ def metrics_grid_map(
         pending, grid_map(_metrics_task, cells, experiment="metrics",
                           jobs=jobs)
     ):
-        _CACHE[key] = metrics
+        memo[key] = metrics
 
 
 def savings_points(
@@ -196,7 +193,3 @@ def savings_points(
 ) -> List[MetricPoint]:
     """The flat (benchmark x size x arch) grid behind a savings chart."""
     return [(benchmark, size, arch, 0) for size in sizes for arch in archs]
-
-
-def clear_cache() -> None:
-    _CACHE.clear()

@@ -208,32 +208,19 @@ class Session:
             start = time.perf_counter()
             if not force:
                 with _obs.span("store.read", key=key[:16]) as read_span:
-                    envelope = self.store.get(key)
+                    envelope = self.store.replay(key, spec.name,
+                                                 trace=run_span.trace_id)
                     read_span.set(hit=envelope is not None)
                 if envelope is not None:
-                    try:
-                        result = ExperimentResult.from_dict(envelope)
-                    except (TypeError, ValueError):
-                        # A stale or corrupt entry (e.g. written before a
-                        # schema bump) degrades to a miss and is
-                        # overwritten below.
-                        pass
-                    else:
-                        run_span.set(store="hit")
-                        self.store.record(
-                            key, spec.name, time.perf_counter() - start,
-                            hit=True, trace=run_span.trace_id,
-                        )
-                        return result
+                    run_span.set(store="hit")
+                    return ExperimentResult.from_dict(envelope)
             with self.activate():
                 result = spec.run(quick=quick, **params)
             run_span.set(store="miss")
             with _obs.span("store.write", key=key[:16]):
-                self.store.put(key, result.to_dict())
-            self.store.record(
-                key, spec.name, time.perf_counter() - start, hit=False,
-                trace=run_span.trace_id,
-            )
+                self.store.save(key, spec.name, result.to_dict(),
+                                time.perf_counter() - start,
+                                trace=run_span.trace_id)
             return result
 
     # -- sweeps ------------------------------------------------------------------------

@@ -22,8 +22,9 @@ Entries use the sharded layout every store shares
 (:class:`repro.exec.diskutil.ShardedDir`): ``<key[:2]>/<key>.json``
 files written atomically, plus an append-only run ledger
 ``ledger.jsonl`` — one ``{"timestamp", "experiment", "key", "hit",
-"wall_s"}`` line per ``Session.run`` through the store (plus a
-``"trace"`` id when tracing was active) — for trend inspection.
+"wall_s"}`` line (plus a ``"trace"`` id when tracing was active) per
+read-through :meth:`ResultStore.replay` hit or :meth:`ResultStore.save`
+miss — for trend inspection.
 :meth:`ResultStore.gc` bounds the directory with the same LRU-by-mtime
 policy (path tie-break included) as ``CompileCache.prune_disk``; entry
 reads touch mtimes so replayed results stay resident.
@@ -186,6 +187,34 @@ class ResultStore:
         execution rather than failing the run that produced the result.
         """
         self.disk.write(key, canonical_json(envelope).encode("utf-8"))
+
+    # -- read-through ------------------------------------------------------------
+
+    def replay(self, key: str, experiment: str,
+               trace: Optional[str] = None) -> Optional[Dict[str, Any]]:
+        """The read-through hit path: the stored envelope for ``key``
+        plus one hit line in the ledger — only when
+        ``ExperimentResult.from_dict`` accepts it.  A stale or corrupt
+        entry returns ``None``, records nothing, and is overwritten by
+        the :meth:`save` of the miss that follows."""
+        start = time.perf_counter()
+        envelope = self.get(key)
+        if envelope is None:
+            return None
+        try:
+            _results.ExperimentResult.from_dict(envelope)
+        except (TypeError, ValueError):
+            return None
+        self.record(key, experiment, time.perf_counter() - start, hit=True,
+                    trace=trace)
+        return envelope
+
+    def save(self, key: str, experiment: str, envelope: Dict[str, Any],
+             wall_s: float, trace: Optional[str] = None) -> None:
+        """The read-through miss path: :meth:`put` plus one miss line in
+        the ledger."""
+        self.put(key, envelope)
+        self.record(key, experiment, wall_s, hit=False, trace=trace)
 
     # -- the run ledger ----------------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.exec.engine import (
     current_jobs,
     resolve_backend,
     run_tasks,
-    sweep_settings,
 )
 from repro.exec.grid import cell_key, grid_map
 from repro.exec.keys import (
@@ -64,7 +63,6 @@ __all__ = [
     "get_cache_dir",
     "resolve_backend",
     "run_tasks",
-    "sweep_settings",
     "task_grid",
     "task_key",
 ]

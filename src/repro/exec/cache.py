@@ -49,6 +49,8 @@ class CompileCache:
                      if path else None)
         self.path = self.disk.path if self.disk is not None else None
         self._memory: dict = {}
+        #: :func:`repro.analysis.architectures.compiled_metrics`' memo.
+        self.metrics_memo: dict = {}
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -76,6 +78,7 @@ class CompileCache:
 
     def clear_memory(self) -> None:
         self._memory.clear()
+        self.metrics_memo.clear()
 
     def stats(self) -> dict:
         return {

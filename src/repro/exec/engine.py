@@ -38,7 +38,6 @@ from __future__ import annotations
 import multiprocessing
 import signal
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from typing import Callable, Iterable, List, Optional
 
 
@@ -47,30 +46,6 @@ def current_jobs() -> int:
     from repro.api.session import current_session
 
     return current_session().jobs
-
-
-@contextmanager
-def sweep_settings(jobs: Optional[int] = None,
-                   cache_dir: Optional[str] = "__keep__"):
-    """Run a block under a temporary session override.
-
-    A convenience wrapper over ``Session(...).activate()``: ``jobs``
-    and/or ``cache_dir`` that are not given are inherited from the
-    current session — in particular ``cache_dir="__keep__"`` (the
-    default) *shares the current cache object*, warm memory tier and
-    stats included.  On exit the previous session is active again,
-    untouched.
-    """
-    from repro.api.session import Session, current_session
-    from repro.exec.cache import CompileCache
-
-    base = current_session()
-    cache = (base.cache if cache_dir == "__keep__"
-             else CompileCache(cache_dir))
-    overlay = Session(jobs=base.jobs if jobs is None else jobs, cache=cache,
-                      circuits=base.circuits)
-    with overlay.activate():
-        yield overlay
 
 
 def _worker_init(cache_dir: Optional[str],

@@ -392,15 +392,11 @@ class ServeApp:
                                "first): " + ", ".join(missing), "KeyError")
 
         if not force:
-            start = time.perf_counter()
-            envelope = self.store.get(key)
+            # Ledgered like any other read-through hit, so /metrics'
+            # recent window sees served traffic, not only queue traffic.
+            envelope = self.store.replay(key, experiment,
+                                         trace=_obs.current_trace_id())
             if envelope is not None:
-                # Served straight from the store: ledger it like any
-                # other read-through hit, so /metrics' recent window
-                # sees served traffic, not only queue traffic.
-                self.store.record(key, experiment,
-                                  time.perf_counter() - start, hit=True,
-                                  trace=_obs.current_trace_id())
                 self.metrics.count("store_hits")
                 return Response(200, canonical_json(envelope).encode(),
                                 {"X-Repro-Store": "hit", "X-Repro-Key": key})
@@ -638,5 +634,7 @@ class ServeApp:
             return _error(404, str(error).strip("'\""), "KeyError")
         except LeaseLost as error:
             return _error(409, str(error), "LeaseLost")
+        except ValueError as error:
+            return _error(400, str(error), "ValueError")
         return _json_response(200, {"status": job.status,
                                     "key": job.key})

@@ -46,6 +46,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.api.results import ExperimentResult
 from repro.fleet.leases import LeaseLost, LeaseTable
 from repro.fleet.protocol import DEFAULT_LEASE_TTL
 from repro.obs import trace as _obs
@@ -420,7 +421,9 @@ class JobQueue:
         its result is discarded — whoever holds the lease now completes
         the job exactly once.  A successful envelope is persisted into
         the shared result store and ledgered, so ``GET /results/<key>``
-        serves it from any node.
+        serves it from any node.  An envelope that does not decode, or
+        that names another experiment, raises ``ValueError`` (HTTP 400)
+        before anything is stored; the lease stands.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -428,25 +431,28 @@ class JobQueue:
             raise KeyError(f"unknown job {job_id!r}")
         if job.status in (DONE, FAILED):
             raise LeaseLost(f"job {job_id} already completed")
+        if envelope is not None:
+            ExperimentResult.from_dict(envelope)  # ValueError if it can't
+            if envelope["experiment"] != job.experiment:
+                raise ValueError(f"job {job_id} runs {job.experiment!r}, "
+                                 f"not {envelope['experiment']!r}")
         self.leases.release(job_id, worker_id)
         self._emit_lease_span(job, "released", worker_id)
         job.worker = worker_id
         job.wall_s = wall_s
         job.tasks_executed = tasks_executed
-        start = time.perf_counter()
         if envelope is not None:
             job.envelope = envelope
             # Persist through the server's store handle — unless the
-            # worker's read-through session already landed the bytes
-            # there (shared filesystem), in which case a second put and
-            # a second ledger line would only duplicate its record.
-            if self._store is not None and self._store.peek(job.key) is None:
-                self._store.put(job.key, envelope)
-                self._store.record(job.key, job.experiment,
-                                   wall_s if wall_s is not None
-                                   else time.perf_counter() - start,
-                                   hit=False,
-                                   trace=job.trace[0] if job.trace else None)
+            # worker's read-through session already landed these exact
+            # bytes there (shared filesystem), in which case a second
+            # put and a second ledger line would only duplicate its
+            # record.
+            if (self._store is not None
+                    and self._store.peek(job.key) != envelope):
+                self._store.save(job.key, job.experiment, envelope,
+                                 wall_s or 0.0,
+                                 trace=job.trace[0] if job.trace else None)
             outcome = DONE
         else:
             job.error = error or "worker reported failure"

@@ -227,14 +227,11 @@ class SweepTable:
         for state in record.cells:
             cell = state.cell
             if not force:
-                start = time.perf_counter()
-                envelope = self.store.get(cell.key)
+                # Same contract as a POST /run store hit: ledger the
+                # replay, count it, never touch the queue.
+                envelope = self.store.replay(cell.key, spec.experiment,
+                                             trace=_obs.current_trace_id())
                 if envelope is not None:
-                    # Same contract as a POST /run store hit: ledger the
-                    # replay, count it, never touch the queue.
-                    self.store.record(cell.key, spec.experiment,
-                                      time.perf_counter() - start,
-                                      hit=True, trace=_obs.current_trace_id())
                     self.metrics.count("sweep_cells_hit")
                     record._finish_cell(state, DONE, "store",
                                         envelope=envelope,

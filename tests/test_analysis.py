@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     ProgramMetrics,
     calibrate_two_qubit_error,
-    clear_cache,
     compare_architectures,
     compiled_metrics,
     error_sweep,
@@ -15,6 +14,7 @@ from repro.analysis import (
     superconducting_arch,
     valid_sizes,
 )
+from repro.api import Session
 from repro.core import CompilerConfig, compile_circuit
 from repro.hardware import NoiseModel, Topology
 from repro.workloads import build_circuit
@@ -50,10 +50,32 @@ class TestProgramMetrics:
 
 class TestArchCache:
     def test_cache_returns_same_object(self):
-        clear_cache()
-        a = compiled_metrics("bv", 10, NA)
-        b = compiled_metrics("bv", 10, NA)
+        with Session().activate():
+            a = compiled_metrics("bv", 10, NA)
+            b = compiled_metrics("bv", 10, NA)
         assert a is b
+
+    def test_memo_is_per_session_cache(self):
+        """A second session with its own cache compiles for itself; the
+        first session's memo never answers for it."""
+        first, second = Session(), Session()
+        with first.activate():
+            a = compiled_metrics("bv", 10, NA)
+        with second.activate():
+            b = compiled_metrics("bv", 10, NA)
+        assert a == b and a is not b
+        assert first.cache_stats()["misses"] == 1
+        assert second.cache_stats()["misses"] == 1
+
+    def test_clear_memory_empties_the_memo(self):
+        session = Session()
+        with session.activate():
+            compiled_metrics("bv", 10, NA)
+            assert session.cache.metrics_memo
+            session.cache.clear_memory()
+            assert not session.cache.metrics_memo
+            compiled_metrics("bv", 10, NA)
+        assert session.cache_stats()["misses"] == 2
 
     def test_arch_distinguished(self):
         a = compiled_metrics("bv", 10, NA)

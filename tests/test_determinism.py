@@ -10,8 +10,7 @@ formatted output, event for event.
 import pytest
 
 from repro.analysis import architectures
-from repro.api.session import install_default
-from repro.exec import engine
+from repro.api.session import Session, install_default
 from repro.experiments import fig10_loss_tolerance, fig12_overhead, fig13_sensitivity
 
 
@@ -29,9 +28,9 @@ def test_fig12_quick_identical_at_jobs_1_and_4(tmp_path):
     quick = dict(mids=(3.0, 4.0), shots=60, program_size=16)
     # Parallel first, on a COLD cache: workers must read the compile
     # artifacts the parent pinned, not race to measure their own.
-    with engine.sweep_settings(jobs=4, cache_dir=str(tmp_path)):
+    with Session(jobs=4, cache_dir=str(tmp_path)).activate():
         parallel = fig12_overhead.run(**quick)
-    with engine.sweep_settings(jobs=1, cache_dir=str(tmp_path)):
+    with Session(jobs=1, cache_dir=str(tmp_path)).activate():
         serial = fig12_overhead.run(**quick)
     assert parallel.format() == serial.format()
     assert parallel.runs == serial.runs  # full timelines, not just text
@@ -40,9 +39,9 @@ def test_fig12_quick_identical_at_jobs_1_and_4(tmp_path):
 def test_fig13_identical_at_any_jobs(tmp_path):
     quick = dict(mids=(4.0,), factors=(1.0, 10.0), shots_per_run=60,
                  program_size=16)
-    with engine.sweep_settings(jobs=1, cache_dir=str(tmp_path)):
+    with Session(jobs=1, cache_dir=str(tmp_path)).activate():
         serial = fig13_sensitivity.run(**quick)
-    with engine.sweep_settings(jobs=2, cache_dir=str(tmp_path)):
+    with Session(jobs=2, cache_dir=str(tmp_path)).activate():
         parallel = fig13_sensitivity.run(**quick)
     assert parallel.format() == serial.format()
     assert parallel.shots_before_reload == serial.shots_before_reload
@@ -51,9 +50,9 @@ def test_fig13_identical_at_any_jobs(tmp_path):
 def test_fig10_identical_at_any_jobs(tmp_path):
     quick = dict(benchmarks=("cnu",), mids=(3.0,), program_size=12,
                  trials=2)
-    with engine.sweep_settings(jobs=1, cache_dir=str(tmp_path)):
+    with Session(jobs=1, cache_dir=str(tmp_path)).activate():
         serial = fig10_loss_tolerance.run(**quick)
-    with engine.sweep_settings(jobs=2, cache_dir=str(tmp_path)):
+    with Session(jobs=2, cache_dir=str(tmp_path)).activate():
         parallel = fig10_loss_tolerance.run(**quick)
     assert parallel.format() == serial.format()
     assert {k: v.losses_sustained for k, v in parallel.cells.items()} == \
@@ -65,16 +64,16 @@ def test_metrics_grid_map_matches_serial_compilation(tmp_path):
     arch = architectures.neutral_atom_arch(mid=3.0, grid_side=6)
     points = [("bv", size, arch, 0) for size in (4, 6, 8)]
 
-    with engine.sweep_settings(jobs=1, cache_dir=None):
-        architectures.clear_cache()
+    with Session(jobs=1, cache_dir=None).activate():
         serial = [architectures.compiled_metrics(*p) for p in points]
 
-    with engine.sweep_settings(jobs=2, cache_dir=str(tmp_path)):
-        architectures.clear_cache()
+    parallel_session = Session(jobs=2, cache_dir=str(tmp_path))
+    with parallel_session.activate():
         architectures.metrics_grid_map(points)
         parallel = [architectures.compiled_metrics(*p) for p in points]
 
-    architectures.clear_cache()
+    # The workers compiled; the parent only imported their metrics.
+    assert parallel_session.cache_stats()["misses"] == 0
     assert parallel == serial
 
 
@@ -82,7 +81,7 @@ def test_task_seeds_are_enumeration_order_independent():
     """Skipping grid cells (e.g. compile-small at MID 2) must not shift
     the seeds of unrelated cells — unlike sequential draws from one
     generator."""
-    with engine.sweep_settings(jobs=1, cache_dir=None):
+    with Session(jobs=1, cache_dir=None).activate():
         narrow = fig12_overhead.run(
             strategies=("always reload",), mids=(3.0,),
             shots=40, program_size=16,

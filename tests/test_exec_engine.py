@@ -10,7 +10,6 @@ import pytest
 
 from repro.api.session import Session, install_default
 from repro.exec import engine
-from repro.exec.cache import get_cache, get_cache_dir
 from repro.exec.keys import derive_seed
 from repro.loss.runner import ShotSpec, run_shot_spec, run_shot_specs
 
@@ -33,23 +32,6 @@ def test_results_preserve_task_order():
 def test_session_jobs_validate():
     with pytest.raises(ValueError):
         Session(jobs=0)
-
-
-def test_sweep_settings_restores_state(tmp_path):
-    outer_cache = get_cache()
-    with engine.sweep_settings(jobs=3, cache_dir=str(tmp_path)):
-        assert engine.current_jobs() == 3
-        assert get_cache_dir() == str(tmp_path)
-    assert engine.current_jobs() == 1
-    assert get_cache_dir() is None
-    # The previous cache OBJECT comes back — warm tier and stats intact.
-    assert get_cache() is outer_cache
-
-
-def test_sweep_settings_keep_shares_cache_object(tmp_path):
-    outer = get_cache()
-    with engine.sweep_settings(jobs=2):
-        assert get_cache() is outer
 
 
 def _tiny_specs():

@@ -11,6 +11,7 @@ clock — no sleeps — and over a real socket with a real lease timeout.
 """
 
 import dataclasses
+import functools
 import json
 import threading
 import time
@@ -116,7 +117,16 @@ class TestLeaseTable:
             LeaseTable(ttl=0)
 
 
-ENVELOPE = {"experiment": "validation", "schema": 1, "data": {"ok": True}}
+@functools.lru_cache(maxsize=None)
+def _envelope_json() -> str:
+    return json.dumps(Session().run("validation", quick=True).to_dict())
+
+
+def envelope():
+    """A fresh copy of a real ``validation`` envelope, as it travels
+    over JSON: the queue refuses a completion that
+    ``ExperimentResult.from_dict`` rejects."""
+    return json.loads(_envelope_json())
 
 
 class TestJobQueueFleet:
@@ -148,14 +158,14 @@ class TestJobQueueFleet:
                                                               "w1", 1)
             assert queue.claim("w2") is None  # nothing else queued
             assert queue.heartbeat("w1", job.id) > 0
-            queue.complete("w1", job.id, envelope=dict(ENVELOPE),
+            queue.complete("w1", job.id, envelope=envelope(),
                            wall_s=1.5, tasks_executed=42)
             assert job.status == DONE
             assert job.wait(timeout=5)
-            assert job.envelope == ENVELOPE
+            assert job.envelope == envelope()
             assert (job.wall_s, job.tasks_executed) == (1.5, 42)
             # The envelope landed in the shared store under the job key.
-            assert store.get("k1") == ENVELOPE
+            assert store.get("k1") == envelope()
             snapshot = queue.metrics.snapshot()["fleet"]
             assert snapshot["claims"] == 1
             assert snapshot["completions"] == 1
@@ -207,14 +217,14 @@ class TestJobQueueFleet:
             assert survivor is job and job.attempts == 2
             # The zombie wakes up and tries to report — refused.
             with pytest.raises(LeaseLost):
-                queue.complete("w1", job.id, envelope=dict(ENVELOPE))
+                queue.complete("w1", job.id, envelope=envelope())
             assert job.status == RUNNING
-            queue.complete("w2", job.id, envelope=dict(ENVELOPE))
+            queue.complete("w2", job.id, envelope=envelope())
             assert job.status == DONE and job.worker == "w2"
             # ...and the survivor's completion was the only one.
             with pytest.raises(LeaseLost, match="already completed"):
-                queue.complete("w2", job.id, envelope=dict(ENVELOPE))
-            assert store.get("k1") == ENVELOPE
+                queue.complete("w2", job.id, envelope=envelope())
+            assert store.get("k1") == envelope()
             snapshot = queue.metrics.snapshot()["fleet"]
             assert snapshot["claims"] == 2
             assert snapshot["completions"] == 1
@@ -234,7 +244,7 @@ class TestJobQueueFleet:
             queue.reap_expired()
             assert not job.wait(timeout=0.05)  # reclaim is not completion
             queue.claim("w2")
-            queue.complete("w2", job.id, envelope=dict(ENVELOPE))
+            queue.complete("w2", job.id, envelope=envelope())
             assert job.wait(timeout=5)
         finally:
             queue.shutdown()
@@ -266,7 +276,7 @@ class TestJobQueueFleet:
             def run(self, experiment, quick=False, force=False, **params):
                 gate.wait(timeout=10)
                 result = type("R", (), {})()
-                result.to_dict = lambda: dict(ENVELOPE)
+                result.to_dict = lambda: envelope()
                 return result
 
         store = ResultStore(str(tmp_path / "store"))
@@ -280,7 +290,7 @@ class TestJobQueueFleet:
             # A remote worker claims the second job meanwhile.
             remote_job, _ = queue.submit("validation", "k-remote", True, {})
             assert queue.claim("w1") is remote_job
-            queue.complete("w1", remote_job.id, envelope=dict(ENVELOPE))
+            queue.complete("w1", remote_job.id, envelope=envelope())
             gate.set()
             assert local_job.wait(timeout=10) and remote_job.wait(timeout=10)
             assert local_job.status == DONE and remote_job.status == DONE

@@ -18,7 +18,6 @@ driver can quietly regress to a serial, cache-bypassing loop:
 
 import pytest
 
-from repro.analysis import architectures
 from repro.api import Session, all_experiments
 from repro.api.registry import get_experiment
 from repro.api.session import install_default
@@ -28,9 +27,7 @@ from repro.experiments import ALL_EXPERIMENTS
 @pytest.fixture(autouse=True)
 def fresh_state():
     saved = install_default(None)
-    architectures.clear_cache()
     yield
-    architectures.clear_cache()
     install_default(saved)
 
 
@@ -99,7 +96,6 @@ def test_newly_gridded_driver_identical_at_jobs_1_and_2(name, tmp_path):
     # compile artifacts the parent pinned, not race to measure their own.
     with Session(jobs=2, cache_dir=str(tmp_path)).activate():
         parallel = spec.run(**params)
-    architectures.clear_cache()
     with Session(jobs=1, cache_dir=str(tmp_path)).activate():
         serial = spec.run(**params)
     assert parallel.format() == serial.format()

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from repro.api.serialize import encode
-from repro.api.session import install_default
+from repro.api.session import Session, install_default
 from repro.core.config import CompilerConfig
-from repro.exec import engine
 from repro.hardware.loss import LossModel, ShotLossSampler
 from repro.hardware.timing import TimingModel
 from repro.hardware.topology import Topology
@@ -194,9 +193,9 @@ def _specs():
 
 def test_run_shot_grid_map_jobs_invariant(tmp_path):
     """jobs=1 and jobs=2 produce byte-identical RunResults."""
-    with engine.sweep_settings(jobs=1, cache_dir=str(tmp_path)):
+    with Session(jobs=1, cache_dir=str(tmp_path)).activate():
         serial = run_shot_grid_map(_specs(), experiment="shot-kernel-suite")
-    with engine.sweep_settings(jobs=2, cache_dir=str(tmp_path)):
+    with Session(jobs=2, cache_dir=str(tmp_path)).activate():
         parallel = run_shot_grid_map(_specs(), experiment="shot-kernel-suite")
     assert [_result_bytes(r) for r in serial] == \
         [_result_bytes(r) for r in parallel]
