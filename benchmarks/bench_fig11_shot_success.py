@@ -12,8 +12,8 @@ def run_once():
     )
 
 
-def test_fig11_shot_success_drop(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig11_shot_success_drop(record_figure):
+    result = run_once()
     record_figure("fig11", result.format())
     # Calibration put the clean program near 0.6 success.
     for bench in ("cnu", "cuccaro"):

@@ -9,8 +9,8 @@ def run_once():
     )
 
 
-def test_fig12_overhead_500_shots(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig12_overhead_500_shots(record_figure):
+    result = run_once()
     record_figure("fig12", result.format())
     for mid in (2.0, 3.0, 4.0, 5.0):
         reload_overhead = result.overhead("always reload", mid)

@@ -10,8 +10,8 @@ def run_once():
     )
 
 
-def test_fig13_loss_rate_sensitivity(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig13_loss_rate_sensitivity(record_figure):
+    result = run_once()
     record_figure("fig13", result.format())
     for mid in (3.0, 4.0, 5.0):
         series = result.series(mid)

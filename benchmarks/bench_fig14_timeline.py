@@ -7,8 +7,8 @@ def run_once():
     return fig14_timeline.run(target_shots=20)
 
 
-def test_fig14_execution_timeline(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig14_execution_timeline(record_figure):
+    result = run_once()
     record_figure("fig14", result.format())
     run_result = result.run_result
     assert run_result.shots_successful == 20

@@ -21,8 +21,8 @@ def run_once():
     )
 
 
-def test_fig3_gate_count_savings(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig3_gate_count_savings(record_figure):
+    result = run_once()
     record_figure("fig3", result.format())
     # The paper's claims: savings are positive at MID >= 2 and most of the
     # benefit arrives in the first few increments (5 -> 13 adds little).

@@ -13,8 +13,8 @@ def run_once():
     )
 
 
-def test_fig4_depth_savings(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig4_depth_savings(record_figure):
+    result = run_once()
     record_figure("fig4", result.format())
     # Depth drops with MID for the serial benchmarks...
     assert result.saving("bv", 3.0) > 0.0

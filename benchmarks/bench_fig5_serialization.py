@@ -12,8 +12,8 @@ def run_once():
     )
 
 
-def test_fig5_serialization(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig5_serialization(record_figure):
+    result = run_once()
     record_figure("fig5", result.format())
     # Zones only ever add depth, and the inherently parallel benchmarks
     # (QFT-adder, QAOA, CNU) pay more than the serial ones (BV, Cuccaro).

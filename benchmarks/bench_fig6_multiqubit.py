@@ -9,8 +9,8 @@ def run_once():
     return fig6_multiqubit.run(sizes=(20, 40, 60), mids=(2.0, 3.0, 5.0))
 
 
-def test_fig6_native_multiqubit(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig6_native_multiqubit(record_figure):
+    result = run_once()
     record_figure("fig6", result.format())
     for point in result.points:
         if point.mid == 1.0:

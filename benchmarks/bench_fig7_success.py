@@ -9,8 +9,8 @@ def run_once():
     return fig7_success.run(program_size=30, error_points=13)
 
 
-def test_fig7_success_comparison(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig7_success_comparison(record_figure):
+    result = run_once()
     record_figure("fig7", result.format())
     # NA diverges from the all-noise outcome at a higher physical error
     # than SC for every benchmark (the paper's Fig 7 claim).

@@ -9,8 +9,8 @@ def run_once():
     return fig8_program_size.run(max_size=50, size_step=10, error_points=11)
 
 
-def test_fig8_largest_runnable_size(benchmark, record_figure):
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
+def test_fig8_largest_runnable_size(record_figure):
+    result = run_once()
     record_figure("fig8", result.format())
     for name, (na_curve, sc_curve) in result.curves.items():
         # NA never runs a smaller program than SC at the same error...

@@ -39,9 +39,8 @@ its envelope (decode each value individually).  ``--out FILE`` writes
 the payload to a file instead of stdout.
 
 ``--quick`` applies each experiment's registered reduced-parameter
-preset (the same scale the pytest benchmarks use is hit via ``pytest
-benchmarks/ --benchmark-only``; ``--quick`` here is even smaller, for a
-fast smoke pass).
+preset (the figure benchmarks' scale is hit via ``pytest benchmarks/``;
+``--quick`` here is even smaller, for a fast smoke pass).
 
 ``--jobs N`` fans sweep grids out over N worker processes; any N
 produces identical figure text because every task seeds its RNG from its

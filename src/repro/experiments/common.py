@@ -2,8 +2,8 @@
 
 Every figure module exposes ``run(...) -> <Fig>Result`` where the result
 renders the paper's rows/series via ``format()``.  Size grids default to
-the paper's full sweep but accept reduced grids so the pytest-benchmark
-harness can regenerate each figure quickly.
+the paper's full sweep but accept reduced grids so the figure benchmarks
+in ``benchmarks/`` can regenerate each figure quickly.
 """
 
 from __future__ import annotations

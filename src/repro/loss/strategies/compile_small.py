@@ -45,14 +45,11 @@ def compiled_distance(true_distance: float, margin: float = DEFAULT_MARGIN) -> f
     return reduced
 
 
-class CompileSmall(VirtualRemap):
-    """Compile at MID - margin; remap; reload when the true MID is exceeded."""
+class _SmallCompile:
+    """The initial compile both variants share: at ``margin`` below the
+    true MID (see :func:`compiled_distance`)."""
 
-    name = "compile small"
-
-    def __init__(self, margin: float = DEFAULT_MARGIN) -> None:
-        super().__init__()
-        self.margin = margin
+    margin: float
 
     def _initial_compile(
         self,
@@ -65,12 +62,22 @@ class CompileSmall(VirtualRemap):
         small_config = config.with_mid(reduced)
         return cached_compile(circuit, small_topology, small_config)
 
+
+class CompileSmall(_SmallCompile, VirtualRemap):
+    """Compile at MID - margin; remap; reload when the true MID is exceeded."""
+
+    name = "compile small"
+
+    def __init__(self, margin: float = DEFAULT_MARGIN) -> None:
+        super().__init__()
+        self.margin = margin
+
     # _distance_limit stays the TRUE device maximum (inherited behaviour
     # reads it from self.topology, which keeps the full MID) — that is the
     # whole point of the slack.
 
 
-class CompileSmallReroute(MinorReroute):
+class CompileSmallReroute(_SmallCompile, MinorReroute):
     """Compile small + Minor Rerouting fixups (the paper's balanced pick)."""
 
     name = "c. small+reroute"
@@ -83,14 +90,3 @@ class CompileSmallReroute(MinorReroute):
     ) -> None:
         super().__init__(noise=noise, success_drop_factor=success_drop_factor)
         self.margin = margin
-
-    def _initial_compile(
-        self,
-        circuit: Circuit,
-        topology: Topology,
-        config: CompilerConfig,
-    ) -> CompiledProgram:
-        reduced = compiled_distance(topology.max_interaction_distance, self.margin)
-        small_topology = topology.with_interaction_distance(reduced)
-        small_config = config.with_mid(reduced)
-        return cached_compile(circuit, small_topology, small_config)

@@ -23,35 +23,54 @@ from typing import Any, Dict, Optional
 from repro.obs.metrics import Histogram
 from repro.obs import prometheus as _prom
 
-#: Every counter :meth:`ServeMetrics.count` may touch.  ``count`` on any
-#: other name raises — a typo must fail loudly, not silently mint a new
-#: attribute that no snapshot ever reports.
-COUNTERS = (
-    "requests_total",
-    "errors_total",
-    "store_hits",
-    "store_misses",
-    "results_served",
-    "jobs_submitted",
-    "jobs_coalesced",
-    "jobs_completed",
-    "jobs_failed",
-    "sweeps_submitted",
-    "sweep_cells_total",
-    "sweep_cells_hit",
-    "sweep_cells_queued",
-    "sweep_cells_coalesced",
-    "sweep_streams",
-    "circuits_uploaded",
-    "circuits_served",
-    "fleet_claims",
-    "fleet_heartbeats",
-    "fleet_completions",
-    "fleet_failures",
-    "leases_reclaimed",
-    "spans_ingested",
-    "traces_served",
-)
+#: Every counter :meth:`ServeMetrics.count` may touch, declared once:
+#: name → (``snapshot()`` group, key in that group).  Group ``None`` puts
+#: the counter at the top level of the snapshot.  The Prometheus family
+#: is ``repro_<name>``, suffixed ``_total`` where the name lacks it.
+#: ``count`` on any other name raises — a typo must fail loudly, not
+#: silently mint a counter that no snapshot ever reports.
+COUNTERS = {
+    "requests_total": (None, "requests_total"),
+    "errors_total": (None, "errors_total"),
+    # POST /run answered straight from the result store.
+    "store_hits": ("store", "hits"),
+    # POST /run that had to go through the job queue.
+    "store_misses": ("store", "misses"),
+    # GET /results/<key> lookups served (hits only).
+    "results_served": ("store", "results_served"),
+    "jobs_submitted": ("jobs", "submitted"),
+    # Requests that attached to an already-in-flight job instead of
+    # starting their own execution.
+    "jobs_coalesced": ("jobs", "coalesced"),
+    "jobs_completed": ("jobs", "completed"),
+    "jobs_failed": ("jobs", "failed"),
+    # Sweep traffic (POST /sweeps and its per-cell fan-out).
+    "sweeps_submitted": ("sweeps", "submitted"),
+    "sweep_cells_total": ("sweeps", "cells_total"),
+    # Cells answered straight from the store at submission time.
+    "sweep_cells_hit": ("sweeps", "cells_hit"),
+    # Cells that became (or attached to) queue jobs.
+    "sweep_cells_queued": ("sweeps", "cells_queued"),
+    # Cells that attached to an already-in-flight job — the
+    # overlapping-sweeps dedup the tests and CI gate assert on.
+    "sweep_cells_coalesced": ("sweeps", "cells_coalesced"),
+    # GET /sweeps/<id>/stream consumers started.
+    "sweep_streams": ("sweeps", "streams"),
+    # Circuit-store traffic (POST /circuits, GET /circuits/<digest>).
+    "circuits_uploaded": ("circuits", "uploaded"),
+    "circuits_served": ("circuits", "served"),
+    # Fleet protocol traffic (remote pull workers; see repro.fleet).
+    "fleet_claims": ("fleet", "claims"),
+    "fleet_heartbeats": ("fleet", "heartbeats"),
+    "fleet_completions": ("fleet", "completions"),
+    "fleet_failures": ("fleet", "failures"),
+    # Jobs requeued after their worker's lease expired unrenewed.
+    "leases_reclaimed": ("fleet", "leases_reclaimed"),
+    # Span records accepted over POST /trace (remote exporters).
+    "spans_ingested": ("trace", "spans_ingested"),
+    # GET /trace/<id> lookups answered with spans.
+    "traces_served": ("trace", "traces_served"),
+}
 
 #: The declared histogram vocabulary: name → (label name or None).
 #: ``request_duration_seconds`` is labelled per route; the rest are
@@ -83,56 +102,17 @@ class ServeMetrics:
         self._histograms: Dict[str, Dict[Optional[str], Histogram]] = {
             name: {} for name in HISTOGRAMS
         }
-        self.requests_total = 0
-        self.errors_total = 0
-        #: POST /run answered straight from the result store.
-        self.store_hits = 0
-        #: POST /run that had to go through the job queue.
-        self.store_misses = 0
-        #: GET /results/<key> lookups served (hits only).
-        self.results_served = 0
-        self.jobs_submitted = 0
-        #: Requests that attached to an already-in-flight job instead of
-        #: starting their own execution.
-        self.jobs_coalesced = 0
-        self.jobs_completed = 0
-        self.jobs_failed = 0
-        #: Sweep traffic (POST /sweeps and its per-cell fan-out).
-        self.sweeps_submitted = 0
-        self.sweep_cells_total = 0
-        #: Cells answered straight from the store at submission time.
-        self.sweep_cells_hit = 0
-        #: Cells that became (or attached to) queue jobs.
-        self.sweep_cells_queued = 0
-        #: Cells that attached to an already-in-flight job — the
-        #: overlapping-sweeps dedup the tests and CI gate assert on.
-        self.sweep_cells_coalesced = 0
-        #: GET /sweeps/<id>/stream consumers started.
-        self.sweep_streams = 0
-        #: Circuit-store traffic (POST /circuits, GET /circuits/<digest>).
-        self.circuits_uploaded = 0
-        self.circuits_served = 0
-        #: Fleet protocol traffic (remote pull workers; see repro.fleet).
-        self.fleet_claims = 0
-        self.fleet_heartbeats = 0
-        self.fleet_completions = 0
-        self.fleet_failures = 0
-        #: Jobs requeued after their worker's lease expired unrenewed.
-        self.leases_reclaimed = 0
-        #: Span records accepted over POST /trace (remote exporters).
-        self.spans_ingested = 0
-        #: GET /trace/<id> lookups answered with spans.
-        self.traces_served = 0
+        self._counts: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
 
     def count_request(self, route: str, status: int,
                       seconds: Optional[float] = None) -> None:
         """Record one handled request under its route label, optionally
         with its handling latency."""
         with self._lock:
-            self.requests_total += 1
+            self._counts["requests_total"] += 1
             self._requests[route] = self._requests.get(route, 0) + 1
             if status >= 400:
-                self.errors_total += 1
+                self._counts["errors_total"] += 1
             if seconds is not None:
                 self._observe_locked("request_duration_seconds",
                                      seconds, route)
@@ -140,16 +120,15 @@ class ServeMetrics:
     def count(self, counter: str, amount: int = 1) -> None:
         """Increment one of the declared counters (e.g. ``"store_hits"``).
 
-        Raises ``ValueError`` on an undeclared name: a silent
-        ``setattr`` on a typo would create an attribute no snapshot
-        reports and no test can catch.
+        Raises ``ValueError`` on an undeclared name: a typo must not
+        mint a counter no snapshot reports and no test can catch.
         """
         if counter not in COUNTERS:
             raise ValueError(
                 f"unknown counter {counter!r}; declared counters: "
                 + ", ".join(COUNTERS))
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
+            self._counts[counter] += amount
 
     # -- histograms --------------------------------------------------------------
 
@@ -193,47 +172,19 @@ class ServeMetrics:
     def snapshot(self) -> Dict[str, Any]:
         """A consistent point-in-time copy of every counter."""
         with self._lock:
-            return {
+            top: Dict[str, Any] = {
                 "uptime_s": round(
                     time.monotonic() - self._started_monotonic, 3),
                 "started_at": round(self.started_at, 3),
-                "requests_total": self.requests_total,
-                "errors_total": self.errors_total,
+            }
+            groups: Dict[str, Dict[str, int]] = {}
+            for counter, (group, key) in COUNTERS.items():
+                target = top if group is None else groups.setdefault(group, {})
+                target[key] = self._counts[counter]
+            return {
+                **top,
                 "requests_by_route": dict(sorted(self._requests.items())),
-                "store": {
-                    "hits": self.store_hits,
-                    "misses": self.store_misses,
-                    "results_served": self.results_served,
-                },
-                "jobs": {
-                    "submitted": self.jobs_submitted,
-                    "coalesced": self.jobs_coalesced,
-                    "completed": self.jobs_completed,
-                    "failed": self.jobs_failed,
-                },
-                "sweeps": {
-                    "submitted": self.sweeps_submitted,
-                    "cells_total": self.sweep_cells_total,
-                    "cells_hit": self.sweep_cells_hit,
-                    "cells_queued": self.sweep_cells_queued,
-                    "cells_coalesced": self.sweep_cells_coalesced,
-                    "streams": self.sweep_streams,
-                },
-                "circuits": {
-                    "uploaded": self.circuits_uploaded,
-                    "served": self.circuits_served,
-                },
-                "fleet": {
-                    "claims": self.fleet_claims,
-                    "heartbeats": self.fleet_heartbeats,
-                    "completions": self.fleet_completions,
-                    "failures": self.fleet_failures,
-                    "leases_reclaimed": self.leases_reclaimed,
-                },
-                "trace": {
-                    "spans_ingested": self.spans_ingested,
-                    "traces_served": self.traces_served,
-                },
+                **groups,
                 "latency": {
                     name: {
                         (label if label is not None else "all"):
@@ -272,7 +223,7 @@ class ServeMetrics:
                 families.append(_prom.family(
                     name, "counter",
                     f"Monotonic count of {counter.replace('_', ' ')}.",
-                    [(None, getattr(self, counter))]))
+                    [(None, self._counts[counter])]))
             for hist_name, label_name in sorted(HISTOGRAMS.items()):
                 series = self._histograms[hist_name]
                 if not series:

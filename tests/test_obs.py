@@ -422,6 +422,196 @@ class TestPrometheusRendering:
 # ---------------------------------------------------------------------------
 
 
+#: Cumulative ``le`` bucket bounds of the default latency histogram.
+_LE = ("0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25",
+       "0.5", "1", "2.5", "5", "10", "30", "60")
+
+
+def _cumulative(first_filled):
+    """One observation's cumulative buckets, filled from ``_LE[first_filled]``."""
+    return {le: int(i >= first_filled) for i, le in enumerate(_LE)}
+
+
+#: ``snapshot()`` of :func:`_golden_metrics` minus ``uptime_s`` and
+#: ``started_at``, in insertion order.
+_GOLDEN_SNAPSHOT = {
+    "requests_total": 12,
+    "errors_total": 21,
+    "requests_by_route": {"/run": 1, "/sweeps": 1},
+    "store": {"hits": 30, "misses": 40, "results_served": 50},
+    "jobs": {"submitted": 60, "coalesced": 70, "completed": 80, "failed": 90},
+    "sweeps": {"submitted": 100, "cells_total": 110, "cells_hit": 120,
+               "cells_queued": 130, "cells_coalesced": 140, "streams": 150},
+    "circuits": {"uploaded": 160, "served": 170},
+    "fleet": {"claims": 180, "heartbeats": 190, "completions": 200,
+              "failures": 210, "leases_reclaimed": 220},
+    "trace": {"spans_ingested": 230, "traces_served": 240},
+    "latency": {
+        "request_duration_seconds": {
+            "/run": {"count": 1, "sum": 0.02, "buckets": _cumulative(4)}},
+        "queue_wait_seconds": {
+            "all": {"count": 1, "sum": 0.003, "buckets": _cumulative(2)}},
+        "compile_duration_seconds": {
+            "all": {"count": 1, "sum": 0.004, "buckets": _cumulative(2)}},
+    },
+}
+
+#: ``prometheus()`` of :func:`_golden_metrics` minus the
+#: ``repro_uptime_seconds`` sample.
+_GOLDEN_PROMETHEUS = """\
+# HELP repro_uptime_seconds Seconds since this server process started.
+# TYPE repro_uptime_seconds gauge
+# HELP repro_requests_total Requests handled, by route.
+# TYPE repro_requests_total counter
+repro_requests_total{route="/run"} 1
+repro_requests_total{route="/sweeps"} 1
+# HELP repro_errors_total Monotonic count of errors total.
+# TYPE repro_errors_total counter
+repro_errors_total 21
+# HELP repro_store_hits_total Monotonic count of store hits.
+# TYPE repro_store_hits_total counter
+repro_store_hits_total 30
+# HELP repro_store_misses_total Monotonic count of store misses.
+# TYPE repro_store_misses_total counter
+repro_store_misses_total 40
+# HELP repro_results_served_total Monotonic count of results served.
+# TYPE repro_results_served_total counter
+repro_results_served_total 50
+# HELP repro_jobs_submitted_total Monotonic count of jobs submitted.
+# TYPE repro_jobs_submitted_total counter
+repro_jobs_submitted_total 60
+# HELP repro_jobs_coalesced_total Monotonic count of jobs coalesced.
+# TYPE repro_jobs_coalesced_total counter
+repro_jobs_coalesced_total 70
+# HELP repro_jobs_completed_total Monotonic count of jobs completed.
+# TYPE repro_jobs_completed_total counter
+repro_jobs_completed_total 80
+# HELP repro_jobs_failed_total Monotonic count of jobs failed.
+# TYPE repro_jobs_failed_total counter
+repro_jobs_failed_total 90
+# HELP repro_sweeps_submitted_total Monotonic count of sweeps submitted.
+# TYPE repro_sweeps_submitted_total counter
+repro_sweeps_submitted_total 100
+# HELP repro_sweep_cells_total Monotonic count of sweep cells total.
+# TYPE repro_sweep_cells_total counter
+repro_sweep_cells_total 110
+# HELP repro_sweep_cells_hit_total Monotonic count of sweep cells hit.
+# TYPE repro_sweep_cells_hit_total counter
+repro_sweep_cells_hit_total 120
+# HELP repro_sweep_cells_queued_total Monotonic count of sweep cells queued.
+# TYPE repro_sweep_cells_queued_total counter
+repro_sweep_cells_queued_total 130
+# HELP repro_sweep_cells_coalesced_total Monotonic count of sweep cells coalesced.
+# TYPE repro_sweep_cells_coalesced_total counter
+repro_sweep_cells_coalesced_total 140
+# HELP repro_sweep_streams_total Monotonic count of sweep streams.
+# TYPE repro_sweep_streams_total counter
+repro_sweep_streams_total 150
+# HELP repro_circuits_uploaded_total Monotonic count of circuits uploaded.
+# TYPE repro_circuits_uploaded_total counter
+repro_circuits_uploaded_total 160
+# HELP repro_circuits_served_total Monotonic count of circuits served.
+# TYPE repro_circuits_served_total counter
+repro_circuits_served_total 170
+# HELP repro_fleet_claims_total Monotonic count of fleet claims.
+# TYPE repro_fleet_claims_total counter
+repro_fleet_claims_total 180
+# HELP repro_fleet_heartbeats_total Monotonic count of fleet heartbeats.
+# TYPE repro_fleet_heartbeats_total counter
+repro_fleet_heartbeats_total 190
+# HELP repro_fleet_completions_total Monotonic count of fleet completions.
+# TYPE repro_fleet_completions_total counter
+repro_fleet_completions_total 200
+# HELP repro_fleet_failures_total Monotonic count of fleet failures.
+# TYPE repro_fleet_failures_total counter
+repro_fleet_failures_total 210
+# HELP repro_leases_reclaimed_total Monotonic count of leases reclaimed.
+# TYPE repro_leases_reclaimed_total counter
+repro_leases_reclaimed_total 220
+# HELP repro_spans_ingested_total Monotonic count of spans ingested.
+# TYPE repro_spans_ingested_total counter
+repro_spans_ingested_total 230
+# HELP repro_traces_served_total Monotonic count of traces served.
+# TYPE repro_traces_served_total counter
+repro_traces_served_total 240
+# HELP repro_compile_duration_seconds Latency distribution: compile duration seconds.
+# TYPE repro_compile_duration_seconds histogram
+repro_compile_duration_seconds_bucket{le="0.001"} 0
+repro_compile_duration_seconds_bucket{le="0.0025"} 0
+repro_compile_duration_seconds_bucket{le="0.005"} 1
+repro_compile_duration_seconds_bucket{le="0.01"} 1
+repro_compile_duration_seconds_bucket{le="0.025"} 1
+repro_compile_duration_seconds_bucket{le="0.05"} 1
+repro_compile_duration_seconds_bucket{le="0.1"} 1
+repro_compile_duration_seconds_bucket{le="0.25"} 1
+repro_compile_duration_seconds_bucket{le="0.5"} 1
+repro_compile_duration_seconds_bucket{le="1"} 1
+repro_compile_duration_seconds_bucket{le="2.5"} 1
+repro_compile_duration_seconds_bucket{le="5"} 1
+repro_compile_duration_seconds_bucket{le="10"} 1
+repro_compile_duration_seconds_bucket{le="30"} 1
+repro_compile_duration_seconds_bucket{le="60"} 1
+repro_compile_duration_seconds_bucket{le="+Inf"} 1
+repro_compile_duration_seconds_sum 0.004
+repro_compile_duration_seconds_count 1
+# HELP repro_queue_wait_seconds Latency distribution: queue wait seconds.
+# TYPE repro_queue_wait_seconds histogram
+repro_queue_wait_seconds_bucket{le="0.001"} 0
+repro_queue_wait_seconds_bucket{le="0.0025"} 0
+repro_queue_wait_seconds_bucket{le="0.005"} 1
+repro_queue_wait_seconds_bucket{le="0.01"} 1
+repro_queue_wait_seconds_bucket{le="0.025"} 1
+repro_queue_wait_seconds_bucket{le="0.05"} 1
+repro_queue_wait_seconds_bucket{le="0.1"} 1
+repro_queue_wait_seconds_bucket{le="0.25"} 1
+repro_queue_wait_seconds_bucket{le="0.5"} 1
+repro_queue_wait_seconds_bucket{le="1"} 1
+repro_queue_wait_seconds_bucket{le="2.5"} 1
+repro_queue_wait_seconds_bucket{le="5"} 1
+repro_queue_wait_seconds_bucket{le="10"} 1
+repro_queue_wait_seconds_bucket{le="30"} 1
+repro_queue_wait_seconds_bucket{le="60"} 1
+repro_queue_wait_seconds_bucket{le="+Inf"} 1
+repro_queue_wait_seconds_sum 0.003
+repro_queue_wait_seconds_count 1
+# HELP repro_request_duration_seconds Latency distribution: request duration seconds.
+# TYPE repro_request_duration_seconds histogram
+repro_request_duration_seconds_bucket{le="0.001",route="/run"} 0
+repro_request_duration_seconds_bucket{le="0.0025",route="/run"} 0
+repro_request_duration_seconds_bucket{le="0.005",route="/run"} 0
+repro_request_duration_seconds_bucket{le="0.01",route="/run"} 0
+repro_request_duration_seconds_bucket{le="0.025",route="/run"} 1
+repro_request_duration_seconds_bucket{le="0.05",route="/run"} 1
+repro_request_duration_seconds_bucket{le="0.1",route="/run"} 1
+repro_request_duration_seconds_bucket{le="0.25",route="/run"} 1
+repro_request_duration_seconds_bucket{le="0.5",route="/run"} 1
+repro_request_duration_seconds_bucket{le="1",route="/run"} 1
+repro_request_duration_seconds_bucket{le="2.5",route="/run"} 1
+repro_request_duration_seconds_bucket{le="5",route="/run"} 1
+repro_request_duration_seconds_bucket{le="10",route="/run"} 1
+repro_request_duration_seconds_bucket{le="30",route="/run"} 1
+repro_request_duration_seconds_bucket{le="60",route="/run"} 1
+repro_request_duration_seconds_bucket{le="+Inf",route="/run"} 1
+repro_request_duration_seconds_sum{route="/run"} 0.02
+repro_request_duration_seconds_count{route="/run"} 1
+"""
+
+
+def _golden_metrics():
+    """Every declared counter at a distinct value (10, 20, ... in
+    declaration order), plus one routed 200 with a latency, one 500, one
+    queue-wait observation and one teed ``compile`` span."""
+    metrics = ServeMetrics()
+    for index, counter in enumerate(COUNTERS):
+        metrics.count(counter, 10 * (index + 1))
+    metrics.count_request("/run", 200, seconds=0.02)
+    metrics.count_request("/sweeps", 500)
+    metrics.observe("queue_wait_seconds", 0.003)
+    metrics.observe_span(span_record(new_trace_id(), "a" * 16, None,
+                                     "compile", "s", 1.0, 0.004))
+    return metrics
+
+
 class TestServeMetrics:
     def test_unknown_counter_raises_naming_the_known_ones(self):
         metrics = ServeMetrics()
@@ -434,6 +624,18 @@ class TestServeMetrics:
         # The declared counters all work.
         for counter in COUNTERS:
             metrics.count(counter)
+
+    def test_snapshot_and_exposition_bytes_are_pinned(self):
+        metrics = _golden_metrics()
+        snap = metrics.snapshot()
+        del snap["uptime_s"], snap["started_at"]
+        assert json.dumps(snap) == json.dumps(_GOLDEN_SNAPSHOT)
+        text = metrics.prometheus()
+        validate_exposition(text)
+        assert "".join(
+            line for line in text.splitlines(keepends=True)
+            if not line.startswith("repro_uptime_seconds ")
+        ) == _GOLDEN_PROMETHEUS
 
     def test_uptime_is_monotonic_not_wall_clock(self, monkeypatch):
         metrics = ServeMetrics()

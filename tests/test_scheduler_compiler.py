@@ -173,6 +173,10 @@ class TestCompilerPolicies:
         for op in program.ops:
             assert not (set(op.sites) & lost)
 
+    @pytest.mark.parametrize("name", ["bv", "cnu", "cuccaro"])
+    def test_family_compiles_at_mid_3(self, name):
+        assert compile_on(build_circuit(name, 20), 5, 3.0).depth() > 0
+
 
 class TestMetricsTrends:
     def test_gate_count_decreases_with_mid(self):

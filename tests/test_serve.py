@@ -297,8 +297,14 @@ class TestJobsEndpoint:
 
 class TestMetricsEndpoint:
     def test_counters_and_recent_ledger_window(self, base):
+        start = time.perf_counter()
         _post_run(base, experiment="validation", quick=True, wait=True)
+        populate_wall = time.perf_counter() - start
+        start = time.perf_counter()
         _post_run(base, experiment="validation", quick=True, wait=True)
+        # The warm request is a store lookup: faster than the execution
+        # that populated it.
+        assert time.perf_counter() - start < populate_wall
         _, _, body = _get(base + "/metrics")
         metrics = json.loads(body)
         assert metrics["store"]["hits"] == 1

@@ -177,10 +177,16 @@ class TestDedupAndReplay:
         assert all(cell["source"] == "store"
                    for cell in resubmitted["cells"])
         assert app.metrics.snapshot()["jobs"]["submitted"] == jobs_before
+        assert app.metrics.snapshot()["sweeps"]["cells_hit"] == 2
         lines = _stream_lines(app, resubmitted["id"])
         assert [record["index"] for record in lines[:-1]] == [0, 1]
         assert all(record["tasks_executed"] == 0
                    for record in lines[:-1])
+        # Same envelope per cell key as the computing pass; only the
+        # lifecycle metadata (source, job id, wall time) differs.
+        cold = _stream_lines(app, first["id"])
+        assert ({r["key"]: r["envelope"] for r in lines[:-1]}
+                == {r["key"]: r["envelope"] for r in cold[:-1]})
 
     def test_force_requeues_stored_cells(self, app):
         body = _sweep_body(axes={"program_size": [10]})
