@@ -105,6 +105,7 @@ from repro.api import ExperimentResult, Session, all_experiments
 from repro.api.circuits import CIRCUIT_DIR_ENV, CircuitStore
 from repro.api.store import ResultStore, STORE_DIR_ENV, canonical_json
 from repro.exec.cache import CACHE_DIR_ENV
+from repro.obs import TRACE_DIR_ENV
 
 #: Default on-disk compile cache for CLI runs (override with --cache-dir,
 #: the REPRO_CACHE_DIR environment variable, or disable with --no-cache).
@@ -126,32 +127,40 @@ DEFAULT_CIRCUIT_DIR = os.path.join("~", ".cache", "repro", "circuits")
 DEFAULT_TRACE_DIR = os.path.join("~", ".cache", "repro", "traces")
 
 
-def _resolve_cache_dir(cache_dir, no_cache: bool):
-    if no_cache:
+#: Each on-disk directory's environment variable and default.
+_DIRS = {
+    "cache": (CACHE_DIR_ENV, DEFAULT_CACHE_DIR),
+    "store": (STORE_DIR_ENV, DEFAULT_STORE_DIR),
+    "circuits": (CIRCUIT_DIR_ENV, DEFAULT_CIRCUIT_DIR),
+    "traces": (TRACE_DIR_ENV, DEFAULT_TRACE_DIR),
+}
+
+
+def _resolve_dir(kind: str, flag, disabled: bool = False):
+    """The ``kind`` directory: ``flag``, else its environment variable,
+    else its default under ``~/.cache/repro``; ``None`` if disabled."""
+    if disabled:
         return None
-    return (cache_dir
-            or os.environ.get(CACHE_DIR_ENV)
-            or os.path.expanduser(DEFAULT_CACHE_DIR))
+    env_var, default = _DIRS[kind]
+    return flag or os.environ.get(env_var) or os.path.expanduser(default)
 
 
-def _resolve_store_dir(store_dir):
-    return (store_dir
-            or os.environ.get(STORE_DIR_ENV)
-            or os.path.expanduser(DEFAULT_STORE_DIR))
-
-
-def _resolve_circuit_dir(circuit_dir):
-    return (circuit_dir
-            or os.environ.get(CIRCUIT_DIR_ENV)
-            or os.path.expanduser(DEFAULT_CIRCUIT_DIR))
-
-
-def _resolve_trace_dir(trace_dir):
-    from repro.obs import TRACE_DIR_ENV
-
-    return (trace_dir
-            or os.environ.get(TRACE_DIR_ENV)
-            or os.path.expanduser(DEFAULT_TRACE_DIR))
+def _add_qasm_file(path: str, add):
+    """Read the OpenQASM file at ``path`` and return ``add(text)`` (a
+    digest); ``None`` after a one-line stderr diagnostic when the file
+    cannot be read or does not validate."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            qasm_text = handle.read()
+    except OSError as error:
+        print(f"cannot read {path}: {error}", file=sys.stderr)
+        return None
+    try:
+        return add(qasm_text)
+    except ValueError as error:
+        # The line-attributed QASM validation message, verbatim.
+        print(f"{path}: {error}", file=sys.stderr)
+        return None
 
 
 def _timed_run(session: Session, name: str, quick: bool,
@@ -214,9 +223,9 @@ def _cmd_run(args) -> int:
 
     session = Session(
         jobs=args.jobs,
-        cache_dir=_resolve_cache_dir(args.cache_dir, args.no_cache),
+        cache_dir=_resolve_dir("cache", args.cache_dir, args.no_cache),
         store_dir=args.store,
-        circuit_dir=_resolve_circuit_dir(args.circuit_dir),
+        circuit_dir=_resolve_dir("circuits", args.circuit_dir),
         trace_dir=args.trace_dir,
     )
     overrides = {}
@@ -234,16 +243,8 @@ def _cmd_run(args) -> int:
                   "needs exactly one (try workload-metrics)",
                   file=sys.stderr)
             return 2
-        try:
-            with open(args.circuit, encoding="utf-8") as handle:
-                qasm_text = handle.read()
-        except OSError as error:
-            print(f"cannot read {args.circuit}: {error}", file=sys.stderr)
-            return 2
-        try:
-            digest = session.circuits.add(qasm_text)
-        except ValueError as error:
-            print(f"{args.circuit}: {error}", file=sys.stderr)
+        digest = _add_qasm_file(args.circuit, session.circuits.add)
+        if digest is None:
             return 2
         overrides = {spec.circuit_params[0]: f"circuit:{digest}"}
         print(f"[circuit {args.circuit} -> circuit:{digest[:16]}… "
@@ -349,9 +350,9 @@ def _cmd_sweep(args) -> int:
             return 2
         session = Session(
             jobs=args.jobs,
-            cache_dir=_resolve_cache_dir(args.cache_dir, args.no_cache),
+            cache_dir=_resolve_dir("cache", args.cache_dir, args.no_cache),
             store_dir=args.store,
-            circuit_dir=_resolve_circuit_dir(args.circuit_dir),
+            circuit_dir=_resolve_dir("circuits", args.circuit_dir),
             trace_dir=args.trace_dir,
         )
     from repro.obs import trace as _obs
@@ -411,9 +412,9 @@ def _cmd_list() -> int:
 
 
 def _cmd_cache(args) -> int:
-    # _resolve_cache_dir always lands on a concrete directory (flag, env,
+    # _resolve_dir always lands on a concrete directory (flag, env,
     # or the default), so cache.path is never None here.
-    session = Session(cache_dir=_resolve_cache_dir(args.cache_dir, False))
+    session = Session(cache_dir=_resolve_dir("cache", args.cache_dir))
     cache = session.cache
 
     if args.cache_command == "stats":
@@ -463,36 +464,21 @@ def _cmd_circuits(args) -> int:
         from repro.api import RemoteSession
 
         try:
-            with open(args.file, encoding="utf-8") as handle:
-                qasm_text = handle.read()
-        except OSError as error:
-            print(f"cannot read {args.file}: {error}", file=sys.stderr)
-            return 2
-        try:
-            digest = RemoteSession(args.server).upload_circuit(qasm_text)
-        except ValueError as error:
-            print(f"{args.file}: {error}", file=sys.stderr)
-            return 2
+            digest = _add_qasm_file(
+                args.file, RemoteSession(args.server).upload_circuit)
         except OSError as error:
             print(f"cannot reach {args.server}: {error}", file=sys.stderr)
+            return 2
+        if digest is None:
             return 2
         print(f"circuit:{digest}")
         return 0
 
-    circuits = CircuitStore(_resolve_circuit_dir(args.circuit_dir))
+    circuits = CircuitStore(_resolve_dir("circuits", args.circuit_dir))
 
     if args.circuits_command == "add":
-        try:
-            with open(args.file, encoding="utf-8") as handle:
-                qasm_text = handle.read()
-        except OSError as error:
-            print(f"cannot read {args.file}: {error}", file=sys.stderr)
-            return 2
-        try:
-            digest = circuits.add(qasm_text)
-        except ValueError as error:
-            # The line-attributed QASM validation message, verbatim.
-            print(f"{args.file}: {error}", file=sys.stderr)
+        digest = _add_qasm_file(args.file, circuits.add)
+        if digest is None:
             return 2
         # stdout carries exactly the reference to paste into --set /
         # --axis / params; diagnostics stay on stderr.
@@ -534,7 +520,7 @@ def _cmd_circuits(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    store = ResultStore(_resolve_store_dir(args.store_dir))
+    store = ResultStore(_resolve_dir("store", args.store_dir))
 
     if args.store_command == "ls" and args.last is not None:
         if args.last < 1:
@@ -630,7 +616,7 @@ def _span_depths(spans):
 def _cmd_trace(args) -> int:
     from repro.obs import TraceStore
 
-    traces = TraceStore(_resolve_trace_dir(args.trace_dir))
+    traces = TraceStore(_resolve_dir("traces", args.trace_dir))
 
     if args.trace_command == "ls":
         rows = traces.traces()
@@ -718,8 +704,8 @@ def _cmd_serve(args) -> int:
         server = build_server(
             host=args.host,
             port=args.port,
-            store_dir=_resolve_store_dir(args.store),
-            cache_dir=_resolve_cache_dir(args.cache_dir, args.no_cache),
+            store_dir=_resolve_dir("store", args.store),
+            cache_dir=_resolve_dir("cache", args.cache_dir, args.no_cache),
             workers=args.jobs,
             quiet=args.quiet,
             lease_ttl=args.lease_ttl,
@@ -778,12 +764,12 @@ def _cmd_worker(args) -> int:
     # server's in-process job queue exactly.  Point --store at the same
     # directory the server serves (shared filesystem) and results are
     # visible to every node the moment they land.
-    cache = CompileCache(_resolve_cache_dir(args.cache_dir, args.no_cache))
-    store = ResultStore(_resolve_store_dir(args.store))
+    cache = CompileCache(_resolve_dir("cache", args.cache_dir, args.no_cache))
+    store = ResultStore(_resolve_dir("store", args.store))
     # One local circuit store per worker process: digests a job names
     # but this node lacks are fetched from the server once, then served
     # from here (content-addressed, so cross-node sharing is safe).
-    circuits = CircuitStore(_resolve_circuit_dir(args.circuit_dir))
+    circuits = CircuitStore(_resolve_dir("circuits", args.circuit_dir))
 
     def session_factory():
         return Session(jobs=1, cache=cache, store=store, circuits=circuits)

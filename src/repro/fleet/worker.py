@@ -142,7 +142,8 @@ class FleetWorker:
     worker-side analogue of the job queue's factory); ``claim_delay``
     sleeps after each successful claim before executing — a
     fault-injection aid so fleet drills can kill a worker that holds a
-    lease but has not finished (CI does exactly this).
+    lease but has not finished (``tests/test_drills.py`` does exactly
+    this).
     """
 
     def __init__(

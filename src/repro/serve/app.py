@@ -56,6 +56,7 @@ coincidence.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -620,11 +621,19 @@ class ServeApp:
             return _error(400, '"error" must be a string', "ValueError")
         wall_s = payload.get("wall_s")
         tasks_executed = payload.get("tasks_executed")
-        if wall_s is not None and not isinstance(wall_s, (int, float)):
-            return _error(400, '"wall_s" must be a number', "ValueError")
-        if tasks_executed is not None and not isinstance(tasks_executed,
-                                                         int):
-            return _error(400, '"tasks_executed" must be an integer',
+        # bool is an int to isinstance, and json.loads turns 1e999 into
+        # inf: both would poison /jobs and the latency histograms.
+        if wall_s is not None and (
+                isinstance(wall_s, bool)
+                or not isinstance(wall_s, (int, float))
+                or not math.isfinite(wall_s) or wall_s < 0):
+            return _error(400, '"wall_s" must be a finite number >= 0',
+                          "ValueError")
+        if tasks_executed is not None and (
+                isinstance(tasks_executed, bool)
+                or not isinstance(tasks_executed, int)
+                or tasks_executed < 0):
+            return _error(400, '"tasks_executed" must be an integer >= 0',
                           "ValueError")
         try:
             job = self.jobs.complete(

@@ -6,19 +6,15 @@ The contract: ``RemoteSession.run`` is shape-compatible with
 the exceptions the local session would raise.
 """
 
-import threading
-
 import pytest
 
 from repro.api import (
     ExperimentResult,
     RemoteRunError,
-    RemoteSession,
     Session,
     all_experiments,
 )
 from repro.api.session import install_default
-from repro.serve import build_server
 
 
 @pytest.fixture(autouse=True)
@@ -26,23 +22,6 @@ def fresh_default_session():
     saved = install_default(None)
     yield
     install_default(saved)
-
-
-@pytest.fixture
-def server(tmp_path):
-    srv = build_server("127.0.0.1", 0, str(tmp_path / "store"),
-                       str(tmp_path / "cache"), workers=2, quiet=True)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture
-def remote(server):
-    return RemoteSession(f"http://127.0.0.1:{server.port}")
 
 
 class TestRun:

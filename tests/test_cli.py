@@ -12,6 +12,7 @@ import pathlib
 
 import pytest
 
+from harness import get
 from repro.__main__ import main
 from repro.api import ExperimentResult, all_experiments
 from repro.api.session import install_default
@@ -181,86 +182,31 @@ class TestServeSubcommand:
         finally:
             blocker.close()
 
-    def test_port_zero_prints_bound_address_first(self, tmp_path):
+    def test_port_zero_prints_bound_address_first(self, serve_process,
+                                                  tmp_path):
         """`serve --port 0` binds an ephemeral port and announces it as
-        the FIRST stderr line, machine-parseable — scripts (and the CI
-        fleet smoke) read the real port from there."""
-        import os
-        import re
-        import signal
-        import subprocess
-        import sys
-        import urllib.request
+        the FIRST stderr line, machine-parseable — scripts (and the
+        ``serve_process`` fixture, which asserts that line's exact
+        shape) read the real port from there."""
+        base = serve_process("--store", str(tmp_path / "store"),
+                             "--no-cache", "--jobs", "1", "--quiet")
+        assert not base.endswith(":0")
+        assert get(base + "/healthz")[0] == 200
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(pathlib.Path(__file__).parent.parent / "src"),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--store", str(tmp_path / "store"), "--no-cache",
-             "--jobs", "1", "--quiet"],
-            env=env, stderr=subprocess.PIPE, text=True)
-        try:
-            first = process.stderr.readline()
-            match = re.match(
-                r"\[serve\] listening on http://127\.0\.0\.1:(\d+)\n",
-                first)
-            assert match, f"unexpected first stderr line: {first!r}"
-            port = int(match.group(1))
-            assert port != 0
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/healthz", timeout=5) as r:
-                assert r.status == 200
-            process.send_signal(signal.SIGINT)
-            assert process.wait(timeout=15) == 130
-        finally:
-            if process.poll() is None:
-                process.kill()
-            process.stderr.close()
-
-    def test_sigint_shuts_down_cleanly_with_130(self, tmp_path):
+    def test_sigint_shuts_down_cleanly_with_130(self, serve_process,
+                                                tmp_path):
         """The full-process contract: `kill -INT` on a running server
         (even one backgrounded by a non-interactive shell, where SIGINT
         starts out ignored) drains and exits 130."""
-        import os
         import signal
-        import subprocess
-        import sys
-        import time
-        import urllib.request
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(pathlib.Path(__file__).parent.parent / "src"),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--store", str(tmp_path / "store"), "--no-cache",
-             "--jobs", "1", "--quiet"],
-            env=env, stderr=subprocess.PIPE, text=True,
+        base = serve_process(
+            "--store", str(tmp_path / "store"), "--no-cache",
+            "--jobs", "1", "--quiet",
             preexec_fn=lambda: signal.signal(signal.SIGINT,
                                              signal.SIG_IGN))
-        try:
-            # The startup line names the bound (ephemeral) port.
-            import re
-
-            startup = process.stderr.readline()
-            port = int(re.search(r"http://[^:]+:(\d+)", startup).group(1))
-            deadline = time.time() + 10
-            while time.time() < deadline:
-                try:
-                    urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/healthz", timeout=1)
-                    break
-                except OSError:
-                    time.sleep(0.05)
-            process.send_signal(signal.SIGINT)
-            assert process.wait(timeout=15) == 130
-        finally:
-            if process.poll() is None:
-                process.kill()
-            process.stderr.close()
+        assert get(base + "/healthz")[0] == 200
+        serve_process.stop()  # SIGINT; asserts exit 130
 
 
 class TestCacheSubcommand:
@@ -472,6 +418,11 @@ class TestCircuitsCLI:
             shown = _run_cli(capsys, "circuits", "show", spelling,
                              "--circuit-dir", str(tmp_path / "c"))
             assert shown == to_qasm(from_qasm(CLI_QASM))
+        # The canonical text re-ingests to the same address.
+        canonical = tmp_path / "canonical.qasm"
+        canonical.write_text(shown)
+        assert _run_cli(capsys, "circuits", "add", str(canonical),
+                        "--circuit-dir", str(tmp_path / "c")) == ref + "\n"
 
     def test_add_rejects_bad_qasm_with_the_line(self, capsys, tmp_path):
         path = tmp_path / "bad.qasm"
@@ -501,6 +452,10 @@ class TestCircuitsCLI:
         captured = capsys.readouterr()
         assert captured.out == cold
         assert "replayed from result store" in captured.err
+        from repro.api import ResultStore
+
+        events = ResultStore(str(tmp_path / "s")).ledger_entries()
+        assert [e["hit"] for e in events] == [False, True]
         envelope = json.loads(cold)
         assert envelope["data"]["fields"]["workload"].startswith("circuit:")
         assert envelope["data"]["fields"]["realized_size"] == 3

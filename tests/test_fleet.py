@@ -13,17 +13,18 @@ clock — no sleeps — and over a real socket with a real lease timeout.
 import dataclasses
 import functools
 import json
+import subprocess
 import threading
 import time
-import urllib.request
+import urllib.error
 
 import pytest
 
+from harness import get, get_json, post, post_text, request, wait_for
 from repro.__main__ import main
-from repro.api import ResultStore, Session, all_experiments
+from repro.api import ResultStore, Session
 from repro.api.session import install_default
 from repro.fleet import FleetWorker, LeaseLost, LeaseTable, WorkerClient
-from repro.serve import build_server
 from repro.serve.jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
 
 
@@ -299,52 +300,26 @@ class TestJobQueueFleet:
             queue.shutdown()
 
 
-def _get(url):
-    with urllib.request.urlopen(url) as response:
-        return response.status, dict(response.headers), response.read()
-
-
-def _post(base, path, **payload):
-    request = urllib.request.Request(
-        base + path, data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"}, method="POST")
-    with urllib.request.urlopen(request) as response:
-        return response.status, dict(response.headers), response.read()
-
-
 def _wait_for_job(base, job_id, timeout=60):
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        _, _, body = _get(base + f"/jobs/{job_id}")
-        job = json.loads(body)
-        if job["status"] in (DONE, FAILED):
-            return job
-        time.sleep(0.05)
-    raise AssertionError(f"job {job_id} never finished")
+    def finished():
+        job = get_json(base + f"/jobs/{job_id}")
+        return job if job["status"] in (DONE, FAILED) else None
+
+    return wait_for(finished, timeout=timeout)
 
 
 LEASE_TTL = 1.0
 
 
+@pytest.fixture
+def server(served):
+    """Fleet-only: no local execution threads, and a short lease."""
+    return served(workers=0, lease_ttl=LEASE_TTL)
+
+
 class TestFleetOverHTTP:
     """The full stack: fleet-only server (workers=0), real sockets,
     in-process FleetWorker pull loops."""
-
-    @pytest.fixture
-    def server(self, tmp_path):
-        srv = build_server("127.0.0.1", 0, str(tmp_path / "store"),
-                           str(tmp_path / "cache"), workers=0, quiet=True,
-                           lease_ttl=LEASE_TTL)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.close()
-        thread.join(timeout=5)
-
-    @pytest.fixture
-    def base(self, server):
-        return f"http://127.0.0.1:{server.port}"
 
     def _worker(self, base, tmp_path, name, **kwargs):
         """A FleetWorker with its own store/cache (nothing shared with
@@ -359,8 +334,8 @@ class TestFleetOverHTTP:
 
     def test_fleet_worker_executes_submitted_job(self, base, server,
                                                  tmp_path, capsys):
-        status, headers, body = _post(base, "/run", experiment="validation",
-                                      quick=True, wait=False)
+        status, headers, body = post(base + "/run", experiment="validation",
+                                     quick=True, wait=False)
         assert status == 202
         job_id = json.loads(body)["id"]
         key = headers["X-Repro-Key"]
@@ -376,7 +351,7 @@ class TestFleetOverHTTP:
 
         # The envelope the worker shipped over HTTP is served by the
         # server byte-identical to a fresh storeless CLI run.
-        _, _, served = _get(base + f"/results/{key}")
+        _, _, served = get(base + f"/results/{key}")
         assert main(["run", "validation", "--quick", "--format", "json",
                      "--no-cache"]) == 0
         assert capsys.readouterr().out.encode() == served
@@ -388,9 +363,9 @@ class TestFleetOverHTTP:
                                   kwargs={"max_jobs": 1}, daemon=True)
         thread.start()
         try:
-            status, headers, body = _post(base, "/run",
-                                          experiment="validation",
-                                          quick=True, wait=True)
+            status, headers, body = post(base + "/run",
+                                         experiment="validation",
+                                         quick=True, wait=True)
             assert status == 200
             assert headers["X-Repro-Store"] == "miss"
             assert json.loads(body)["experiment"] == "validation"
@@ -424,8 +399,8 @@ class TestFleetOverHTTP:
 
         def request_once():
             try:
-                bodies.append(_post(base, "/run", experiment="validation",
-                                    quick=True, wait=True)[2])
+                bodies.append(post(base + "/run", experiment="validation",
+                                   quick=True, wait=True)[2])
             except BaseException as error:  # pragma: no cover
                 errors.append(error)
 
@@ -463,8 +438,8 @@ class TestFleetOverHTTP:
         bytes identical to in-process execution."""
         # The "victim" claims by hand and then never speaks again.
         victim = WorkerClient(base, "w-victim")
-        status, headers, body = _post(base, "/run", experiment="validation",
-                                      quick=True, wait=False)
+        status, headers, body = post(base + "/run", experiment="validation",
+                                     quick=True, wait=False)
         job_id = json.loads(body)["id"]
         key = headers["X-Repro-Key"]
         claimed = victim.claim()
@@ -490,12 +465,12 @@ class TestFleetOverHTTP:
             victim.complete(job_id, envelope={"experiment": "validation"})
 
         # Stored bytes identical to a fresh in-process CLI run.
-        _, _, served = _get(base + f"/results/{key}")
+        _, _, served = get(base + f"/results/{key}")
         assert main(["run", "validation", "--quick", "--format", "json",
                      "--no-cache"]) == 0
         assert capsys.readouterr().out.encode() == served
 
-        metrics = json.loads(_get(base + "/metrics")[2])
+        metrics = json.loads(get(base + "/metrics")[2])
         assert metrics["fleet"]["leases_reclaimed"] == 1
         assert metrics["fleet"]["claims"] == 2
         assert metrics["fleet"]["completions"] == 1
@@ -516,8 +491,8 @@ class TestFleetOverHTTP:
 
         monkeypatch.setitem(registry._SPECS, "validation",
                             dc.replace(real, runner=exploding_runner))
-        _, _, body = _post(base, "/run", experiment="validation",
-                           quick=True, wait=False)
+        _, _, body = post(base + "/run", experiment="validation",
+                          quick=True, wait=False)
         job_id = json.loads(body)["id"]
         worker = self._worker(base, tmp_path, "w-fail")
         worker.run(max_jobs=1)
@@ -526,13 +501,51 @@ class TestFleetOverHTTP:
         assert "fleet backend exploded" in job["error"]
 
     def test_claim_validation(self, base):
-        request = urllib.request.Request(
-            base + "/fleet/claim", data=b"{}",
-            headers={"Content-Type": "application/json"}, method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
+            post(base + "/fleet/claim")
         assert excinfo.value.code == 400
         assert "worker" in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize("numbers", [
+        '"wall_s": 1e999, "tasks_executed": true',
+        '"wall_s": 1e999',
+        '"wall_s": NaN',
+        '"wall_s": -1.0',
+        '"wall_s": true',
+        '"tasks_executed": true',
+        '"tasks_executed": -1',
+        '"tasks_executed": 2.5',
+    ], ids=["inf-and-bool", "inf-wall", "nan-wall", "negative-wall",
+            "bool-wall", "bool-tasks", "negative-tasks", "float-tasks"])
+    def test_complete_rejects_non_finite_or_mistyped_numbers(self, base,
+                                                             numbers):
+        """``json.loads`` reads ``1e999`` as inf and ``true`` is an int
+        to ``isinstance``: neither may reach /jobs or /metrics."""
+        _, _, body = post(base + "/run", experiment="validation",
+                          quick=True, wait=False)
+        job_id = json.loads(body)["id"]
+        client = WorkerClient(base, "w-numbers")
+        assert client.claim()["id"] == job_id
+        raw = ('{"worker": "w-numbers", "job": "%s", "error": "boom", %s}'
+               % (job_id, numbers)).encode()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            request(base + "/fleet/complete", raw,
+                    {"Content-Type": "application/json"})
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error_type"] == "ValueError"
+
+        def strict(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        for path in ("/metrics", f"/jobs/{job_id}"):
+            json.loads(get(base + path)[2], parse_constant=strict)
+        # The lease still stands: its holder heartbeats and completes.
+        assert client.heartbeat(job_id) > 0
+        client.complete(job_id, error="boom", wall_s=0.5, tasks_executed=0)
+        job = _wait_for_job(base, job_id)
+        assert (job["status"], job["wall_s"], job["tasks_executed"]) == \
+            (FAILED, 0.5, 0)
+        json.loads(get(base + "/metrics")[2], parse_constant=strict)
 
     def test_heartbeat_unknown_job_404(self, base):
         client = WorkerClient(base, "w-x")
@@ -547,54 +560,26 @@ class TestWorkerCLI:
     """One full-process smoke: `serve --port 0 --jobs 0` plus
     `python -m repro worker --max-jobs 1` in real subprocesses."""
 
-    def test_worker_process_drains_a_job(self, tmp_path):
-        import os
-        import pathlib
-        import re
-        import signal
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(pathlib.Path(__file__).parent.parent / "src"),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--store", str(tmp_path / "server-store"), "--no-cache",
-             "--jobs", "0", "--quiet"],
-            env=env, stderr=subprocess.PIPE, text=True)
-        worker = None
-        try:
-            first = server.stderr.readline()
-            port = int(re.search(r"http://[^:]+:(\d+)", first).group(1))
-            base = f"http://127.0.0.1:{port}"
-            _, headers, body = _post(base, "/run", experiment="validation",
-                                     quick=True, wait=False)
-            job_id = json.loads(body)["id"]
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker",
-                 "--server", base, "--jobs", "1", "--max-jobs", "1",
-                 "--store", str(tmp_path / "worker-store"), "--no-cache",
-                 "--poll", "0.1", "--id", "w-cli", "--quiet"],
-                env=env, stderr=subprocess.PIPE, text=True)
-            _, worker_err = worker.communicate(timeout=120)
-            assert worker.returncode == 0, worker_err
-            assert "drained: 1 job(s) completed" in worker_err
-            job = _wait_for_job(base, job_id)
-            assert job["status"] == DONE
-            assert job["worker"] == "w-cli"
-            key = headers["X-Repro-Key"]
-            assert _get(base + f"/results/{key}")[0] == 200
-            server.send_signal(signal.SIGINT)
-            assert server.wait(timeout=15) == 130
-        finally:
-            for process in (worker, server):
-                if process is not None and process.poll() is None:
-                    process.kill()
-            server.stderr.close()
-            if worker is not None and worker.stderr:
-                worker.stderr.close()
+    def test_worker_process_drains_a_job(self, serve_process, tmp_path):
+        base = serve_process("--store", str(tmp_path / "server-store"),
+                             "--no-cache", "--jobs", "0", "--quiet")
+        _, headers, body = post(base + "/run", experiment="validation",
+                                quick=True, wait=False)
+        job_id = json.loads(body)["id"]
+        worker = serve_process.spawn(
+            "worker", "--server", base, "--jobs", "1", "--max-jobs", "1",
+            "--store", str(tmp_path / "worker-store"), "--no-cache",
+            "--poll", "0.1", "--id", "w-cli", "--quiet",
+            stderr=subprocess.PIPE, text=True)
+        _, worker_err = worker.communicate(timeout=120)
+        assert worker.returncode == 0, worker_err
+        assert "drained: 1 job(s) completed" in worker_err
+        job = _wait_for_job(base, job_id)
+        assert job["status"] == DONE
+        assert job["worker"] == "w-cli"
+        key = headers["X-Repro-Key"]
+        assert get(base + f"/results/{key}")[0] == 200
+        serve_process.stop()
 
     def test_worker_argument_validation(self, capsys):
         assert main(["worker", "--server", "http://x", "--jobs", "0",
@@ -602,9 +587,6 @@ class TestWorkerCLI:
         assert "--jobs" in capsys.readouterr().err
         assert main(["worker", "--server", "ftp://x", "--no-cache"]) == 2
         assert "--server" in capsys.readouterr().err
-
-
-import urllib.error  # noqa: E402  (used by TestFleetOverHTTP above)
 
 
 class TestFleetCircuitFetch:
@@ -620,29 +602,9 @@ class TestFleetCircuitFetch:
             "rz(0.25) q[2];\n"
             "cx q[2],q[3];\n")
 
-    @pytest.fixture
-    def server(self, tmp_path):
-        srv = build_server("127.0.0.1", 0, str(tmp_path / "store"),
-                           str(tmp_path / "cache"), workers=0, quiet=True,
-                           lease_ttl=LEASE_TTL)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.close()
-        thread.join(timeout=5)
-
-    @pytest.fixture
-    def base(self, server):
-        return f"http://127.0.0.1:{server.port}"
-
     def _upload(self, base):
-        request = urllib.request.Request(
-            base + "/circuits", data=self.QASM.encode("utf-8"),
-            headers={"Content-Type": "text/plain; charset=utf-8"},
-            method="POST")
-        with urllib.request.urlopen(request) as response:
-            return json.loads(response.read())["digest"]
+        return json.loads(post_text(base + "/circuits", self.QASM)[2])[
+            "digest"]
 
     def _worker(self, base, tmp_path, name):
         from repro.api.circuits import CircuitStore
@@ -663,9 +625,9 @@ class TestFleetCircuitFetch:
             self, base, tmp_path):
         digest = self._upload(base)
         params = {"workload": f"circuit:{digest}", "mids": [2.0]}
-        status, headers, body = _post(base, "/run",
-                                      experiment="workload-metrics",
-                                      quick=True, params=params, wait=False)
+        status, headers, body = post(base + "/run",
+                                     experiment="workload-metrics",
+                                     quick=True, params=params, wait=False)
         assert status == 202
         job_id = json.loads(body)["id"]
         key = headers["X-Repro-Key"]
@@ -679,7 +641,7 @@ class TestFleetCircuitFetch:
         # The fetched program landed in the worker's local store, byte-
         # identical to the server's canonical text.
         assert circuits.has(digest)
-        _, _, served_qasm = _get(base + f"/circuits/{digest}")
+        _, _, served_qasm = get(base + f"/circuits/{digest}")
         assert circuits.get_qasm(digest) == served_qasm.decode("utf-8")
 
         # Envelope bytes == a purely local run holding the same circuit.
@@ -687,7 +649,7 @@ class TestFleetCircuitFetch:
         assert local.circuits.add(self.QASM) == digest
         local_result = local.run("workload-metrics", quick=True,
                                  workload=f"circuit:{digest}", mids=(2.0,))
-        _, _, served = _get(base + f"/results/{key}")
+        _, _, served = get(base + f"/results/{key}")
         from repro.api.store import canonical_json
 
         assert served.decode("utf-8") == canonical_json(
@@ -699,8 +661,8 @@ class TestFleetCircuitFetch:
         for rng in (0, 1):
             params = {"workload": f"circuit:{digest}", "mids": [2.0],
                       "rng": rng}
-            _post(base, "/run", experiment="workload-metrics",
-                  quick=True, params=params, wait=False)
+            post(base + "/run", experiment="workload-metrics",
+                 quick=True, params=params, wait=False)
         assert worker.run(max_jobs=2) == 2
         assert worker.jobs_done == 2
         assert circuits.stats()["entries"] == 1  # fetched exactly once
@@ -716,8 +678,8 @@ class TestFleetCircuitFetch:
         named must fail the job, not execute the wrong program."""
         digest = self._upload(base)
         params = {"workload": f"circuit:{digest}", "mids": [2.0]}
-        _, _, body = _post(base, "/run", experiment="workload-metrics",
-                           quick=True, params=params, wait=False)
+        _, _, body = post(base + "/run", experiment="workload-metrics",
+                          quick=True, params=params, wait=False)
         job_id = json.loads(body)["id"]
 
         worker, circuits = self._worker(base, tmp_path, "w-tamper")

@@ -21,11 +21,10 @@ import re
 import stat
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
+from harness import get_json, wait_for
 from repro.__main__ import main
 from repro.api import Session, all_experiments
 from repro.api.client import RemoteSession
@@ -61,7 +60,6 @@ from repro.obs.prometheus import (
     render,
     sample_line,
 )
-from repro.serve import build_server
 from repro.serve.app import ServeApp
 from repro.serve.jobs import JobQueue
 from repro.serve.metrics import COUNTERS, ServeMetrics
@@ -1009,17 +1007,12 @@ class TestServeAppTracing:
 
 class TestEndToEndTracing:
     @pytest.fixture
-    def stack(self, tmp_path):
+    def stack(self, served, tmp_path):
         """serve --jobs 0 with tracing + one fleet worker thread."""
         from repro.fleet import FleetWorker
 
-        server = build_server(
-            "127.0.0.1", 0, str(tmp_path / "store"), None, workers=0,
-            quiet=True, lease_ttl=30.0,
-            trace_dir=str(tmp_path / "traces"))
-        server_thread = threading.Thread(target=server.serve_forever,
-                                         daemon=True)
-        server_thread.start()
+        server = served(cache_dir=None, workers=0, lease_ttl=30.0,
+                        trace_dir=str(tmp_path / "traces"))
         base = f"http://127.0.0.1:{server.port}"
 
         def session_factory():
@@ -1033,10 +1026,7 @@ class TestEndToEndTracing:
         worker_thread.start()
         yield base, str(tmp_path / "traces")
         worker.stop_event.set()
-        server.shutdown()
-        server.close()
         worker_thread.join(timeout=10)
-        server_thread.join(timeout=5)
 
     def test_one_trace_covers_client_server_queue_and_worker(self, stack):
         base, trace_dir = stack
@@ -1046,17 +1036,15 @@ class TestEndToEndTracing:
         trace_id = remote.last_trace_id
         assert is_trace_id(trace_id)
 
-        deadline = time.monotonic() + 10.0
-        spans = []
         # Client and worker spans arrive via POST /trace export; give
         # the worker's batch a moment to land.
-        while time.monotonic() < deadline:
-            with urllib.request.urlopen(f"{base}/trace/{trace_id}") as rsp:
-                spans = json.loads(rsp.read())["spans"]
+        def all_services():
+            spans = get_json(f"{base}/trace/{trace_id}")["spans"]
             services = {record["service"] for record in spans}
-            if {"client", "serve", "worker"} <= services:
-                break
-            time.sleep(0.05)
+            return spans if {"client", "serve", "worker"} <= services \
+                else None
+
+        spans = wait_for(all_services, timeout=10.0)
         names = set(_names(spans))
         assert {"client.run", "client.request"} <= names       # client
         assert {"server.request", "queue.wait", "lease"} <= names  # serve

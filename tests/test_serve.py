@@ -13,14 +13,13 @@ import json
 import threading
 import time
 import urllib.error
-import urllib.request
 
 import pytest
 
+from harness import get, post, post_text, request
 from repro.__main__ import main
 from repro.api import Session, all_experiments, store_key
 from repro.api.session import install_default
-from repro.serve import build_server
 from repro.serve.jobs import DONE, FAILED, JobQueue
 
 
@@ -29,36 +28,6 @@ def fresh_default_session():
     saved = install_default(None)
     yield
     install_default(saved)
-
-
-@pytest.fixture
-def server(tmp_path):
-    srv = build_server("127.0.0.1", 0, str(tmp_path / "store"),
-                       str(tmp_path / "cache"), workers=2, quiet=True)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture
-def base(server):
-    return f"http://127.0.0.1:{server.port}"
-
-
-def _get(url):
-    with urllib.request.urlopen(url) as response:
-        return response.status, dict(response.headers), response.read()
-
-
-def _post_run(base_url, **payload):
-    request = urllib.request.Request(
-        base_url + "/run", data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"}, method="POST")
-    with urllib.request.urlopen(request) as response:
-        return response.status, dict(response.headers), response.read()
 
 
 def _http_error(callable_, *args, **kwargs) -> urllib.error.HTTPError:
@@ -73,14 +42,14 @@ def _error_message(error: urllib.error.HTTPError) -> str:
 
 class TestEndpoints:
     def test_healthz(self, base):
-        status, _, body = _get(base + "/healthz")
+        status, _, body = get(base + "/healthz")
         assert status == 200
         payload = json.loads(body)
         assert payload["status"] == "ok"
         assert payload["uptime_s"] >= 0
 
     def test_experiments_lists_every_registered_spec(self, base):
-        _, _, body = _get(base + "/experiments")
+        _, _, body = get(base + "/experiments")
         listing = {spec["name"]: spec
                    for spec in json.loads(body)["experiments"]}
         assert set(listing) == set(all_experiments())
@@ -92,34 +61,33 @@ class TestEndpoints:
         assert fig10["result_type"] == "Fig10Result"
 
     def test_experiment_detail_and_unknown(self, base):
-        _, _, body = _get(base + "/experiments/validation")
+        _, _, body = get(base + "/experiments/validation")
         assert json.loads(body)["name"] == "validation"
-        error = _http_error(_get, base + "/experiments/fig99")
+        error = _http_error(get, base + "/experiments/fig99")
         assert error.code == 404
         assert "unknown experiment" in _error_message(error)
 
     def test_results_rejects_non_key_paths(self, base):
-        error = _http_error(_get, base + "/results/../../etc/passwd")
+        error = _http_error(get, base + "/results/../../etc/passwd")
         assert error.code == 400
-        error = _http_error(_get, base + "/results/" + "a" * 64)
+        error = _http_error(get, base + "/results/" + "a" * 64)
         assert error.code == 404
 
     def test_unrouted_paths_404(self, base):
-        assert _http_error(_get, base + "/nope").code == 404
+        assert _http_error(get, base + "/nope").code == 404
 
     def test_run_request_validation(self, base):
-        request = urllib.request.Request(
-            base + "/run", data=b"{ not json", method="POST")
-        assert _http_error(urllib.request.urlopen, request).code == 400
+        assert _http_error(request, base + "/run",
+                           b"{ not json").code == 400
 
-        error = _http_error(_post_run, base, quick=True)
+        error = _http_error(post, base + "/run", quick=True)
         assert error.code == 400
         assert "experiment" in _error_message(error)
 
-        error = _http_error(_post_run, base, experiment="fig99")
+        error = _http_error(post, base + "/run", experiment="fig99")
         assert error.code == 404
 
-        error = _http_error(_post_run, base, experiment="validation",
+        error = _http_error(post, base + "/run", experiment="validation",
                             params={"bogus": 1})
         assert error.code == 400
         payload = json.loads(error.read())
@@ -130,7 +98,7 @@ class TestEndpoints:
         # Wrong params shape is rejected even when falsy ([] / false),
         # never silently coerced into a default-params run.
         for bad_params in ([], False, ""):
-            error = _http_error(_post_run, base, experiment="validation",
+            error = _http_error(post, base + "/run", experiment="validation",
                                 params=bad_params)
             assert error.code == 400
             assert "JSON object" in _error_message(error)
@@ -145,18 +113,18 @@ class TestServingContract:
         paths recompute nothing."""
         store_dir = server.app.store.path
         for name in all_experiments():
-            status, headers, cold = _post_run(
-                base, experiment=name, quick=True, wait=True)
+            status, headers, cold = post(
+                base + "/run", experiment=name, quick=True, wait=True)
             assert status == 200
             assert headers["X-Repro-Store"] == "miss"
             key = headers["X-Repro-Key"]
             assert json.loads(cold)["experiment"] == name
 
-            _, _, warm_get = _get(base + f"/results/{key}")
+            _, _, warm_get = get(base + f"/results/{key}")
             assert warm_get == cold
 
-            _, warm_headers, warm_post = _post_run(
-                base, experiment=name, quick=True, wait=True)
+            _, warm_headers, warm_post = post(
+                base + "/run", experiment=name, quick=True, wait=True)
             assert warm_headers["X-Repro-Store"] == "hit"
             assert warm_post == cold
 
@@ -172,7 +140,7 @@ class TestServingContract:
         """One full independent recompute: the server's cold envelope
         equals a fresh `run validation --quick --format json` that never
         saw the store."""
-        _, _, cold = _post_run(base, experiment="validation", quick=True,
+        _, _, cold = post(base + "/run", experiment="validation", quick=True,
                                wait=True)
         assert main(["run", "validation", "--quick", "--format", "json",
                      "--no-cache"]) == 0
@@ -181,7 +149,7 @@ class TestServingContract:
     def test_warm_replay_executes_zero_tasks(self, base, server):
         """A job submitted after its key is already stored replays
         read-through: Session.tasks_executed == 0."""
-        _, headers, _ = _post_run(base, experiment="validation",
+        _, headers, _ = post(base + "/run", experiment="validation",
                                   quick=True, wait=True)
         key = headers["X-Repro-Key"]
         spec = all_experiments()["validation"]
@@ -215,7 +183,7 @@ class TestServingContract:
 
         def request_once():
             try:
-                bodies.append(_post_run(base, experiment="validation",
+                bodies.append(post(base + "/run", experiment="validation",
                                         quick=True, wait=True)[2])
             except BaseException as error:  # pragma: no cover
                 errors.append(error)
@@ -246,8 +214,8 @@ class TestServingContract:
         monkeypatch.setitem(registry._SPECS, "validation",
                             dataclasses.replace(real,
                                                 runner=counting_runner))
-        _post_run(base, experiment="validation", quick=True, wait=True)
-        status, headers, _ = _post_run(base, experiment="validation",
+        post(base + "/run", experiment="validation", quick=True, wait=True)
+        status, headers, _ = post(base + "/run", experiment="validation",
                                        quick=True, force=True, wait=True)
         assert headers["X-Repro-Store"] == "miss"
         assert len(calls) == 2
@@ -255,8 +223,8 @@ class TestServingContract:
 
 class TestJobsEndpoint:
     def test_async_submit_then_poll_then_fetch(self, base):
-        status, headers, body = _post_run(
-            base, experiment="validation", quick=True, wait=False)
+        status, headers, body = post(
+            base + "/run", experiment="validation", quick=True, wait=False)
         assert status == 202
         submitted = json.loads(body)
         assert submitted["coalesced"] is False
@@ -264,7 +232,7 @@ class TestJobsEndpoint:
 
         deadline = time.time() + 60
         while time.time() < deadline:
-            _, _, job_body = _get(base + f"/jobs/{job_id}")
+            _, _, job_body = get(base + f"/jobs/{job_id}")
             job = json.loads(job_body)
             if job["status"] in (DONE, FAILED):
                 break
@@ -272,11 +240,11 @@ class TestJobsEndpoint:
         assert job["status"] == DONE
         assert job["tasks_executed"] > 0
         assert job["wall_s"] >= 0
-        _, _, envelope = _get(base + job["result_url"])
+        _, _, envelope = get(base + job["result_url"])
         assert json.loads(envelope)["experiment"] == "validation"
 
     def test_unknown_job_404(self, base):
-        assert _http_error(_get, base + "/jobs/nope").code == 404
+        assert _http_error(get, base + "/jobs/nope").code == 404
 
     def test_failed_job_surfaces_the_error(self, base, monkeypatch):
         from repro.api import registry
@@ -289,7 +257,7 @@ class TestJobsEndpoint:
         monkeypatch.setitem(registry._SPECS, "validation",
                             dataclasses.replace(real,
                                                 runner=exploding_runner))
-        error = _http_error(_post_run, base, experiment="validation",
+        error = _http_error(post, base + "/run", experiment="validation",
                             quick=True, wait=True)
         assert error.code == 500
         assert "backend exploded" in _error_message(error)
@@ -298,14 +266,14 @@ class TestJobsEndpoint:
 class TestMetricsEndpoint:
     def test_counters_and_recent_ledger_window(self, base):
         start = time.perf_counter()
-        _post_run(base, experiment="validation", quick=True, wait=True)
+        post(base + "/run", experiment="validation", quick=True, wait=True)
         populate_wall = time.perf_counter() - start
         start = time.perf_counter()
-        _post_run(base, experiment="validation", quick=True, wait=True)
+        post(base + "/run", experiment="validation", quick=True, wait=True)
         # The warm request is a store lookup: faster than the execution
         # that populated it.
         assert time.perf_counter() - start < populate_wall
-        _, _, body = _get(base + "/metrics")
+        _, _, body = get(base + "/metrics")
         metrics = json.loads(body)
         assert metrics["store"]["hits"] == 1
         assert metrics["store"]["misses"] == 1
@@ -467,13 +435,8 @@ cx q[2],q[3];
 
 
 def _post_circuit(base_url, text):
-    request = urllib.request.Request(
-        base_url + "/circuits", data=text.encode("utf-8"),
-        headers={"Content-Type": "text/plain; charset=utf-8"},
-        method="POST")
-    with urllib.request.urlopen(request) as response:
-        return (response.status, dict(response.headers),
-                json.loads(response.read()))
+    status, headers, body = post_text(base_url + "/circuits", text)
+    return status, headers, json.loads(body)
 
 
 class TestCircuitsEndpoint:
@@ -492,30 +455,26 @@ class TestCircuitsEndpoint:
         from repro.circuits import from_qasm, to_qasm
 
         _, _, uploaded = _post_circuit(base, SAMPLE_QASM)
-        status, headers, body = _get(f"{base}/circuits/{uploaded['digest']}")
+        status, headers, body = get(f"{base}/circuits/{uploaded['digest']}")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         assert body.decode("utf-8") == to_qasm(from_qasm(SAMPLE_QASM))
 
     def test_listing_reports_uploads(self, base):
         _, _, uploaded = _post_circuit(base, SAMPLE_QASM)
-        _, _, body = _get(f"{base}/circuits")
+        _, _, body = get(f"{base}/circuits")
         listing = json.loads(body)["circuits"]
         assert uploaded["digest"] in {row["digest"] for row in listing}
 
     def test_malformed_qasm_is_a_400_with_the_line(self, base):
-        request = urllib.request.Request(
-            base + "/circuits", data=b"OPENQASM 2.0;\nqreg q[2];\nbad q[0];",
-            method="POST")
-        error = _http_error(urllib.request.urlopen, request)
+        error = _http_error(request, base + "/circuits",
+                            b"OPENQASM 2.0;\nqreg q[2];\nbad q[0];")
         assert error.code == 400
         assert "line 3" in _error_message(error)
 
     def test_unknown_and_malformed_digest(self, base):
-        assert _http_error(urllib.request.urlopen,
-                           f"{base}/circuits/{'ab' * 32}").code == 404
-        assert _http_error(urllib.request.urlopen,
-                           f"{base}/circuits/nothex").code == 400
+        assert _http_error(get, f"{base}/circuits/{'ab' * 32}").code == 404
+        assert _http_error(get, f"{base}/circuits/nothex").code == 400
 
     def test_run_against_digest_cold_then_warm(self, base):
         """The acceptance path: POST /circuits, then POST /run naming
@@ -523,14 +482,14 @@ class TestCircuitsEndpoint:
         the store."""
         _, _, uploaded = _post_circuit(base, SAMPLE_QASM)
         params = {"workload": uploaded["ref"], "mids": [2.0]}
-        status, cold_headers, cold = _post_run(
-            base, experiment="workload-metrics", quick=True, params=params,
-            wait=True)
+        status, cold_headers, cold = post(
+            base + "/run", experiment="workload-metrics", quick=True,
+            params=params, wait=True)
         assert status == 200
         assert cold_headers["X-Repro-Store"] == "miss"
-        status, warm_headers, warm = _post_run(
-            base, experiment="workload-metrics", quick=True, params=params,
-            wait=True)
+        status, warm_headers, warm = post(
+            base + "/run", experiment="workload-metrics", quick=True,
+            params=params, wait=True)
         assert warm_headers["X-Repro-Store"] == "hit"
         assert warm == cold
         envelope = json.loads(cold)
@@ -539,7 +498,7 @@ class TestCircuitsEndpoint:
 
     def test_run_against_unknown_digest_is_a_400(self, base):
         error = _http_error(
-            _post_run, base, experiment="workload-metrics", quick=True,
+            post, base + "/run", experiment="workload-metrics", quick=True,
             params={"workload": f"circuit:{'ab' * 32}"}, wait=True)
         assert error.code == 400
         assert "upload" in _error_message(error)
@@ -574,7 +533,7 @@ class TestCircuitsEndpoint:
 
     def test_metrics_reports_the_circuit_store(self, base):
         _post_circuit(base, SAMPLE_QASM)
-        _, _, body = _get(f"{base}/metrics")
+        _, _, body = get(f"{base}/metrics")
         metrics = json.loads(body)
         assert metrics["circuit_store"]["entries"] >= 1
         assert metrics["circuits"]["uploaded"] >= 1

@@ -16,19 +16,15 @@ The contracts under test, transport-free and over a real socket:
 
 import dataclasses
 import json
-import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.__main__ import main
-from repro.api import RemoteRunError, RemoteSession, Session, SweepSpec
+from repro.api import RemoteRunError, Session, SweepSpec
 from repro.api.session import install_default
 from repro.api.store import ResultStore, canonical_json
 from repro.exec.cache import CompileCache
-from repro.serve import build_server
 from repro.serve.app import ServeApp
 from repro.serve.jobs import DONE, JobQueue
 from repro.serve.metrics import ServeMetrics
@@ -272,21 +268,6 @@ class TestStreamLifecycle:
 
 
 class TestRemoteSessionSweeps:
-    @pytest.fixture
-    def server(self, tmp_path):
-        srv = build_server("127.0.0.1", 0, str(tmp_path / "store"),
-                           str(tmp_path / "cache"), workers=2, quiet=True)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.close()
-        thread.join(timeout=5)
-
-    @pytest.fixture
-    def remote(self, server):
-        return RemoteSession(f"http://127.0.0.1:{server.port}")
-
     def test_run_sweep_matches_local_session(self, remote, tmp_path):
         spec = SweepSpec(FAST, axes={"program_size": (10, 20)},
                          quick=True)
