@@ -57,6 +57,12 @@ class TestTextRegression:
                        "--jobs", "2", "--cache-dir", str(tmp_path))
         assert out == _fixture("fig10_quick.txt")
 
+    def test_fig13_quick_matches_fixture(self, capsys):
+        """fig13 drives ``ShotRunner`` (compile small + reroute), so this
+        pins the shot path's bytes, not only its jobs=1 == jobs=N parity."""
+        out = _run_cli(capsys, "run", "fig13", "--quick", "--no-cache")
+        assert out == _fixture("fig13_quick.txt")
+
     def test_explicit_format_text_flag(self, capsys):
         out = _run_cli(capsys, "run", "validation", "--quick",
                        "--format", "text", "--no-cache")
