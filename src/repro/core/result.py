@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
@@ -172,16 +173,34 @@ class CompiledProgram:
         return total
 
     def success_rate(self, noise: NoiseModel) -> float:
-        """The §V success estimate for this compiled program."""
-        return noise.program_success(self.counts_by_arity(), self.duration(noise))
+        """The §V success estimate for this compiled program.
+
+        Memoized per (frozen) noise model like :meth:`duration`: shot
+        loops score every successful shot against it.
+        """
+        memo = self.__dict__.get("_success_memo")
+        if memo is not None and memo[0] is noise:
+            return memo[1]
+        rate = noise.program_success(self.counts_by_arity(), self.duration(noise))
+        self.__dict__["_success_memo"] = (noise, rate)
+        return rate
 
     # -- site usage (consumed by the loss machinery) --------------------------------
 
-    def used_sites(self) -> set:
-        """Every site any op (or layout) touches over the program."""
-        sites = set(self.initial_layout.values())
-        for op in self.ops:
-            sites.update(op.sites)
+    def used_sites(self) -> FrozenSet[int]:
+        """Every site any op (or layout) touches over the program.
+
+        Computed once and shared (loss strategies ask on every lost
+        atom), hence frozen.  Sites go in layout first, then op by op,
+        one at a time, so it iterates in the order a ``set`` grown by
+        ``update`` calls would: virtual maps are seeded in that order.
+        """
+        sites = self.__dict__.get("_used_sites")
+        if sites is None:
+            sites = frozenset(chain(
+                self.initial_layout.values(),
+                *(op.sites for op in self.ops)))
+            self.__dict__["_used_sites"] = sites
         return sites
 
     def measured_sites(self) -> set:
@@ -230,6 +249,8 @@ class CompiledProgram:
         state.pop("_arity_counts", None)
         state.pop("_profiles", None)
         state.pop("_duration_memo", None)
+        state.pop("_success_memo", None)
+        state.pop("_used_sites", None)
         return state
 
     def __repr__(self) -> str:

@@ -145,12 +145,8 @@ def _draw_plan(
     combined = 1.0 - (1.0 - p_vac) * (1.0 - p_meas)
     if p_vac > 0.0:
         # Every site draws: unmeasured at p_vac, measured at the combined rate.
-        probs = np.fromiter(
-            (combined if site in measured else p_vac for site in sites),
-            dtype=np.float64,
-            count=len(sites),
-        )
-        return sites, probs
+        probs = [combined if site in measured else p_vac for site in sites]
+        return sites, np.array(probs, dtype=np.float64)
     if p_meas > 0.0:
         # Only measured sites have nonzero probability (combined == p_meas).
         draw_sites = tuple(site for site in sites if site in measured)
@@ -207,22 +203,29 @@ class ShotLossSampler:
                     all_sites, measured_sites, rng=self.generator
                 )
             )
-        key = (
-            tuple(all_sites),
-            measured_sites
-            if isinstance(measured_sites, frozenset)
-            else frozenset(measured_sites),
-        )
-        if key != self._key:
-            self._draw_sites, self._probs = _draw_plan(
-                self.loss_model, key[0], key[1]
+        key = self._key
+        # The key holds the caller's own tuple and frozenset when it
+        # passed those; being immutable, the same objects again (the
+        # runner's inputs between lossy shots) need no comparison.  A
+        # list or set never matches by identity, so it is compared by
+        # value.
+        if key is None or all_sites is not key[0] or measured_sites is not key[1]:
+            fresh = (
+                tuple(all_sites),
+                measured_sites
+                if isinstance(measured_sites, frozenset)
+                else frozenset(measured_sites),
             )
-            self._key = key
+            if fresh != key:
+                self._draw_sites, self._probs = _draw_plan(
+                    self.loss_model, fresh[0], fresh[1]
+                )
+            self._key = fresh
         draw_sites = self._draw_sites
         if not draw_sites:
             return set()
         draws = self._take(len(draw_sites))
-        return {draw_sites[i] for i in np.flatnonzero(draws < self._probs)}
+        return {draw_sites[i] for i in (draws < self._probs).nonzero()[0]}
 
     def _take(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms from the generator's double stream."""

@@ -141,6 +141,11 @@ class ShotRunner:
         if include_compile_event:
             clock = self._emit(result, "compile", clock, program.compile_seconds)
 
+        # Only the loss loop below (on_loss, recompiles, reloads) changes
+        # the active and measured sites, so they are rebuilt after a shot
+        # that lost atoms and handed to the sampler as the same immutable
+        # objects otherwise.
+        active = measured = None
         for _ in range(max_shots):
             if (
                 target_successful is not None
@@ -158,10 +163,10 @@ class ShotRunner:
             clock = self._emit(
                 result, "fluorescence", clock, self.timing.fluorescence_time
             )
-            lost = sampler.sample(
-                self.topology.active_sites(),
-                self.strategy.current_measured_sites(),
-            )
+            if active is None:
+                active = tuple(self.topology.active_sites())
+                measured = frozenset(self.strategy.current_measured_sites())
+            lost = sampler.sample(active, measured)
 
             # 3. Score the shot before adapting.
             used = self.strategy.current_used_sites()
@@ -174,6 +179,8 @@ class ShotRunner:
                 )
 
             # 4. Let the strategy cope, loss by loss.
+            if lost:
+                active = None
             reloaded = False
             for site in sorted(lost):
                 if reloaded:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from repro.circuits.circuit import Circuit
 from repro.core.config import CompilerConfig
@@ -126,11 +126,13 @@ class CopingStrategy(ABC):
 
     # -- current physical footprint ------------------------------------------------------
 
-    def current_used_sites(self) -> set:
+    def current_used_sites(self) -> AbstractSet[int]:
         """Physical sites the adapted program currently relies on.
 
         Losses outside this set are spare losses (no shot invalidated).
         Subclasses with a virtual map translate roles to physical sites.
+        Read-only: the shot loop asks on every shot, so this may be a
+        shared or live view rather than a fresh set.
         """
         if self.program is None:
             raise RuntimeError("strategy not started; call begin() first")

@@ -9,12 +9,23 @@ interaction distance, the only option is a reload.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple)
 
 from repro.core.result import CompiledProgram, ScheduledOp
 from repro.hardware.topology import Topology
 from repro.loss.strategies.base import CopingStrategy, LossOutcome
 from repro.loss.virtual_map import RemapFailed, VirtualMap
+
+
+def _too_far_apart(sites: List[int], rows, limit: float) -> bool:
+    """Whether any pair of ``sites`` is farther apart than ``limit``."""
+    for i in range(len(sites)):
+        row = rows[sites[i]]
+        for j in range(i + 1, len(sites)):
+            if row[sites[j]] > limit:
+                return True
+    return False
 
 
 class VirtualRemap(CopingStrategy):
@@ -32,26 +43,36 @@ class VirtualRemap(CopingStrategy):
         #: Indices into ``_ops`` of the ops overstretched under the
         #: current virtual map, as of the last ``_violated_ops`` call.
         self._violated: Set[int] = set()
+        #: ``(program, distance limit, verdicts)`` of the last full scan:
+        #: the indices overstretched under the identity map.
+        self._scanned: Optional[
+            Tuple[CompiledProgram, float, FrozenSet[int]]] = None
 
     def _reset_adaptation(self) -> None:
         if self.program is None:
             self.virtual_map = None
             return
         self.virtual_map = VirtualMap(self.topology, self.program.used_sites())
+        limit = self._distance_limit()
+        scanned = self._scanned
+        if (scanned is not None and scanned[0] is self.program
+                and scanned[1] == limit):
+            # A reload restores the identity map on a full array, so the
+            # first scan's verdicts (and the op index) still hold.
+            self._violated = set(scanned[2])
+            return
         self._ops = self.program.multiqubit_ops()
         self._ops_by_role = {}
         for index, op in enumerate(self._ops):
             for role in op.sites:
                 self._ops_by_role.setdefault(role, []).append(index)
-        self._violated = {
-            index for index, op in enumerate(self._ops)
-            if self._overstretched(op.sites)
-        }
+        self._violated = self._overstretched(range(len(self._ops)))
+        self._scanned = (self.program, limit, frozenset(self._violated))
 
-    def current_used_sites(self) -> set:
+    def current_used_sites(self) -> AbstractSet[int]:
         if self.virtual_map is None:
             raise RuntimeError("strategy not started; call begin() first")
-        return self.virtual_map.occupied_sites()
+        return self.virtual_map.site_to_role.keys()
 
     def current_measured_sites(self) -> set:
         if self.virtual_map is None:
@@ -70,8 +91,7 @@ class VirtualRemap(CopingStrategy):
         return self.topology.max_interaction_distance
 
     def on_loss(self, site: int) -> LossOutcome:
-        occupied = self.virtual_map.occupied_sites()
-        if site not in occupied:
+        if site not in self.virtual_map.site_to_role:
             return LossOutcome.spare_loss()
         try:
             updates = self.virtual_map.shift_for_loss(site)
@@ -100,25 +120,22 @@ class VirtualRemap(CopingStrategy):
             stale = {index for role in moved
                      for index in self._ops_by_role.get(role, ())}
             moved.clear()
-            for index in stale:
-                if self._overstretched(self._ops[index].sites):
-                    self._violated.add(index)
-                else:
-                    self._violated.discard(index)
+            self._violated -= stale
+            self._violated |= self._overstretched(stale)
         return [self._ops[index] for index in sorted(self._violated)]
 
-    def _overstretched(self, roles: Sequence[int]) -> bool:
-        """Whether any operand pair of an op on ``roles`` is too far apart."""
+    def _overstretched(self, indices: Iterable[int]) -> Set[int]:
+        """The ops among ``indices`` (into ``_ops``) with an operand pair
+        too far apart under the current virtual map."""
         limit = self._distance_limit() + 1e-9
         rows = self.topology.grid.distance_rows()
         translate = self.virtual_map.role_to_site
-        sites = [translate[role] for role in roles]
-        for i in range(len(sites)):
-            row = rows[sites[i]]
-            for j in range(i + 1, len(sites)):
-                if row[sites[j]] > limit:
-                    return True
-        return False
+        ops = self._ops
+        return {
+            index for index in indices
+            if _too_far_apart([translate[role] for role in ops[index].sites],
+                              rows, limit)
+        }
 
     def _handle_violations(
         self, violated: List[ScheduledOp], remap_updates: int

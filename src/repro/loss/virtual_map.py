@@ -13,12 +13,33 @@ detecting and coping with that is the strategies' job.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.topology import Topology
 
 #: Cardinal directions as (d_row, d_col), in deterministic tie-break order.
 DIRECTIONS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, -1), (1, 0), (-1, 0))
+
+
+@lru_cache(maxsize=None)
+def _lines(
+    rows: int, cols: int, direction: Tuple[int, int]
+) -> Tuple[Tuple[int, ...], ...]:
+    """Per site, the sites from it (exclusive) to the edge along
+    ``direction``, nearest first.  Pure geometry: built once per grid
+    shape and direction; the spare search filters it by occupancy."""
+    d_row, d_col = direction
+    lines = []
+    for site in range(rows * cols):
+        row, col = divmod(site, cols)
+        line = []
+        row, col = row + d_row, col + d_col
+        while 0 <= row < rows and 0 <= col < cols:
+            line.append(row * cols + col)
+            row, col = row + d_row, col + d_col
+        lines.append(tuple(line))
+    return tuple(lines)
 
 
 class RemapFailed(RuntimeError):
@@ -45,6 +66,8 @@ class VirtualMap:
         return self.role_to_site[role]
 
     def occupied_sites(self) -> set:
+        """A fresh set of the occupied sites.  Membership tests should ask
+        ``site_to_role``, whose keys are exactly these sites."""
         return set(self.role_to_site.values())
 
     def role_at(self, site: int) -> Optional[int]:
@@ -52,9 +75,22 @@ class VirtualMap:
 
     # -- the shift ------------------------------------------------------------------
 
+    def _line(self, site: int, direction: Tuple[int, int]) -> Tuple[int, ...]:
+        """Every site from ``site`` (exclusive) to the edge, lost or not."""
+        grid = self.topology.grid
+        if not 0 <= site < grid.num_sites:
+            raise IndexError(f"site {site} outside grid of {grid.num_sites}")
+        return _lines(grid.rows, grid.cols, direction)[site]
+
     def spares_toward_edge(self, site: int, direction: Tuple[int, int]) -> int:
         """Active, unoccupied atoms along ``direction`` from ``site`` to edge."""
-        return len(self._spare_line(site, direction)[1])
+        lost = self.topology.lost_view
+        occupied = self.site_to_role
+        count = 0
+        for candidate in self._line(site, direction):
+            if candidate not in lost and candidate not in occupied:
+                count += 1
+        return count
 
     def _spare_line(
         self, site: int, direction: Tuple[int, int]
@@ -64,20 +100,10 @@ class VirtualMap:
         Returns ``(active_line, spare_sites)``: the active sites along the
         walk in order, and the subset that are unoccupied (spares).
         """
-        grid = self.topology.grid
-        row, col = grid.position(site)
-        d_row, d_col = direction
-        active_line: List[int] = []
-        spares: List[int] = []
-        row, col = row + d_row, col + d_col
-        while grid.in_bounds(row, col):
-            candidate = grid.site_at(row, col)
-            if self.topology.is_active(candidate):
-                active_line.append(candidate)
-                if candidate not in self.site_to_role:
-                    spares.append(candidate)
-            row, col = row + d_row, col + d_col
-        return active_line, spares
+        lost = self.topology.lost_view
+        active_line = [s for s in self._line(site, direction) if s not in lost]
+        occupied = self.site_to_role
+        return active_line, [s for s in active_line if s not in occupied]
 
     def best_direction(self, site: int) -> Optional[Tuple[int, int]]:
         """Direction with the most spares from ``site`` to the edge, or
