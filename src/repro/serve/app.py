@@ -443,8 +443,7 @@ class ServeApp:
         try:
             spec = SweepSpec.from_dict(request)
             missing = self._missing_circuits(
-                {"params": request.get("params"),
-                 "axes": request.get("axes")})
+                {"base": spec.base, "axes": spec.axes})
         except (TypeError, ValueError) as error:
             return _error(400, str(error), type(error).__name__)
         if missing:

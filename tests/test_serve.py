@@ -503,6 +503,31 @@ class TestCircuitsEndpoint:
         assert error.code == 400
         assert "upload" in _error_message(error)
 
+    @pytest.mark.parametrize("where", ["base", "axes"])
+    def test_sweep_over_unknown_digest_is_a_400(self, base, where):
+        """A digest the server never stored is refused before any cell
+        is queued, whether the sweep fixes it or sweeps over it."""
+        ref = f"circuit:{'cd' * 32}"
+        fields = {"base": {"mids": [2.0]}, "axes": {"rng": [0, 1]}}
+        if where == "base":
+            fields["base"]["workload"] = ref
+        else:
+            fields["axes"]["workload"] = ["bv", ref]
+
+        def counts():
+            metrics = json.loads(get(f"{base}/metrics")[2])
+            return metrics["jobs"]["submitted"], metrics["sweeps"]["submitted"]
+
+        before = counts()
+        error = _http_error(post, base + "/sweeps",
+                            experiment="workload-metrics", quick=True,
+                            **fields)
+        assert error.code == 400
+        payload = json.loads(error.read())
+        assert payload["error_type"] == "KeyError"
+        assert "upload" in payload["error"]
+        assert counts() == before
+
     def test_sweep_over_uploaded_circuit_dedups_cells(self, base):
         """A sweep whose cells name an uploaded digest expands, runs,
         and replays against the store like any named-benchmark sweep."""
