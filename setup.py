@@ -1,9 +1,20 @@
-"""Setuptools shim for environments without the ``wheel`` package.
+"""Package metadata for ``pip install -e .``.
 
-``pip install -e . --no-use-pep517`` needs a ``setup.py``; all real
-metadata lives in ``pyproject.toml``.
+The importable package is ``repro`` under ``src/``; its only runtime
+dependency is numpy.  The test suite additionally uses pytest and
+hypothesis, which are not install requirements.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description=(
+        "Reproduction of 'Exploiting Long-Distance Interactions and "
+        "Tolerating Atom Loss in Neutral Atom Quantum Architectures'"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    install_requires=["numpy"],
+)
