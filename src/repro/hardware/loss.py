@@ -204,12 +204,12 @@ class ShotLossSampler:
                 )
             )
         key = self._key
-        # The key holds the caller's own tuple and frozenset when it
-        # passed those; being immutable, the same objects again (the
-        # runner's inputs between lossy shots) need no comparison.  A
-        # list or set never matches by identity, so it is compared by
-        # value.
-        if key is None or all_sites is not key[0] or measured_sites is not key[1]:
+        # The key keeps a caller's tuple and frozenset as they are, so the
+        # same immutable objects again (the runner's inputs between lossy
+        # shots) skip the comparison.  A list or set is converted, is never
+        # identical to the key, and so is compared by value.
+        if (key is None or all_sites is not key[0]
+                or measured_sites is not key[1]):
             fresh = (
                 tuple(all_sites),
                 measured_sites
