@@ -378,14 +378,9 @@ def _cmd_sweep(args) -> int:
     except RemoteRunError as error:
         print(f"sweep failed: {error}", file=sys.stderr)
         return 1
-    pairs.sort(key=lambda pair: pair[0].index)
     from repro.api import SweepResult
 
-    sweep_result = SweepResult(
-        experiment=spec.experiment, quick=spec.quick,
-        cells=tuple(cell for cell, _ in pairs),
-        results=tuple(result for _, result in pairs),
-    )
+    sweep_result = SweepResult.from_pairs(spec, pairs)
     replayed = session.hits - hits_before
     print(f"[sweep {spec.experiment}: {len(spec)} cell(s) in "
           f"{time.perf_counter() - start:.1f}s — {replayed} replayed, "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.analysis.architectures import Architecture, compiled_metrics
 from repro.analysis.metrics import ProgramMetrics
 from repro.api.serialize import serializable
 from repro.core.errors import CompilationError
-from repro.hardware.noise import NoiseModel
 from repro.workloads.registry import get_benchmark
 
 #: Fig 8's success threshold.
@@ -178,10 +177,6 @@ def size_ladder_grid_map(
             ladder.append(metrics)
         ladders.append(ladder)
     return ladders
-
-
-#: Legacy name for :func:`size_ladder_grid_map`.
-size_ladder_grid = size_ladder_grid_map
 
 
 def size_ladder_metrics(

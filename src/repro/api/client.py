@@ -26,10 +26,14 @@ returns.  Together with ``run`` this satisfies
 :class:`repro.api.protocol.SessionProtocol`.
 
 Server-side errors map back onto the exceptions the local session would
-raise: an unknown experiment is a ``KeyError``, a bad parameter is a
-``TypeError``/``ValueError`` (transported as HTTP 4xx), and a failed
-execution surfaces as :class:`RemoteRunError` (HTTP 5xx).  Only the
-standard library is used (``urllib``), like everything else here.
+raise, by one rule (:func:`_local_error`).  A 4xx raises the class the
+server names in ``error_type`` (``KeyError``, ``TypeError`` or
+``ValueError``); without one, a 404 raises ``KeyError`` and any other
+4xx ``ValueError``.  A GET reads by id, so its 400 is a miss
+(``KeyError``).  A 5xx, a failed execution, raises
+:class:`RemoteRunError`.  :func:`open_url` is the one HTTP call of every
+serve-protocol client, the fleet worker's too.  Only the standard
+library is used (``urllib``), like everything else here.
 """
 
 from __future__ import annotations
@@ -53,30 +57,62 @@ class RemoteRunError(RuntimeError):
     """A run failed on the server (the transported job error)."""
 
 
-def _raise_mapped(error: urllib.error.HTTPError) -> None:
-    """Re-raise a server error as the local exception it stands for."""
-    message, error_type = _decode_error(error)
-    if error.code == 404:
-        raise KeyError(message) from None
-    if error.code == 400:
-        if error_type == "TypeError":
-            raise TypeError(message) from None
-        raise ValueError(message) from None
-    raise RemoteRunError(message) from None
+class ServerError(Exception):
+    """An error status decoded from the server's JSON error body (see
+    ``repro.serve.app._error``); ``error_type`` names the local
+    exception class, ``None`` when the body carries none."""
+
+    def __init__(self, status: int, message: str,
+                 error_type: Optional[str] = None):
+        super().__init__(f"HTTP {status}: {message}")
+        self.status = status
+        self.message = message
+        self.error_type = error_type
 
 
-def _decode_error(error: urllib.error.HTTPError) -> tuple:
-    """``(message, error_type)`` from a server error body.
+def open_url(url: str, data: Optional[bytes] = None,
+             method: Optional[str] = None,
+             headers: Optional[Dict[str, str]] = None,
+             timeout: Optional[float] = None):
+    """Send one request; the open response (a context manager).
 
-    ``error_type`` is the server's structured name for the local
-    exception class (see ``repro.serve.app._error``); ``None`` when the
-    body carries none.
+    The one HTTP call of the serve-protocol clients.  An error status
+    raises :class:`ServerError`; transport failures (``URLError``,
+    timeouts) propagate unchanged.
     """
+    request = urllib.request.Request(url, data=data, method=method,
+                                     headers=headers or {})
     try:
-        payload = json.loads(error.read().decode("utf-8", "replace"))
-        return str(payload.get("error", payload)), payload.get("error_type")
-    except ValueError:
-        return f"HTTP {error.code}", None
+        return urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as error:
+        with error:
+            body = error.read().decode("utf-8", "replace")
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict):
+            payload = {"error": body or f"HTTP {error.code}"}
+        raise ServerError(error.code, str(payload.get("error", payload)),
+                          payload.get("error_type")) from None
+
+
+#: The local exceptions a server may name in ``error_type``.
+_LOCAL_ERRORS = {"KeyError": KeyError, "TypeError": TypeError,
+                 "ValueError": ValueError}
+
+
+def _local_error(error: ServerError, method: str) -> Exception:
+    """The exception a local ``Session`` raises for what ``error``
+    reports.  A GET reads by id, so its 400 (a malformed id) is a miss."""
+    if error.status >= 500:
+        return RemoteRunError(error.message)
+    if method == "GET" and error.status == 400:
+        return KeyError(error.message)
+    local = _LOCAL_ERRORS.get(error.error_type)
+    if local is None:
+        local = KeyError if error.status == 404 else ValueError
+    return local(error.message)
 
 
 class RemoteSession:
@@ -110,6 +146,16 @@ class RemoteSession:
 
     # -- transport ---------------------------------------------------------------
 
+    def _open(self, method: str, path: str, data: Optional[bytes] = None,
+              headers: Optional[Dict[str, str]] = None):
+        """One request to the server; an error status raises the local
+        exception it stands for (:func:`_local_error`)."""
+        try:
+            return open_url(self.base_url + path, data, method, headers,
+                            self.timeout)
+        except ServerError as error:
+            raise _local_error(error, method) from None
+
     def _request(self, method: str, path: str,
                  payload: Optional[Dict[str, Any]] = None):
         body = None if payload is None else json.dumps(payload).encode()
@@ -120,13 +166,7 @@ class RemoteSession:
             if active is not None and active.span_id is not None:
                 headers[_obs.TRACE_HEADER] = _obs.format_trace_header(
                     active.trace_id, active.span_id)
-            request = urllib.request.Request(
-                self.base_url + path, data=body, method=method,
-                headers=headers,
-            )
-            response = urllib.request.urlopen(request,
-                                              timeout=self.timeout)
-            with response:
+            with self._open(method, path, body, headers) as response:
                 request_span.set(status=response.status)
                 return response, json.loads(
                     response.read().decode("utf-8"))
@@ -162,14 +202,12 @@ class RemoteSession:
 
         GETs are idempotent, so a dropped connection or timeout (a
         server restarting, a load balancer shedding) is worth one short
-        backoff and retry before surfacing.  An ``HTTPError`` is a
-        *response* — the server spoke — and is never retried here
-        (it subclasses ``URLError``, hence the explicit re-raise).
+        backoff and retry before surfacing.  An error status is a
+        *response* — the server spoke — and :meth:`_open` has already
+        raised it as a local exception, which is never retried.
         """
         try:
             _, decoded = self._request("GET", path)
-        except urllib.error.HTTPError:
-            raise
         except (urllib.error.URLError, TimeoutError, ConnectionError):
             time.sleep(RETRY_BACKOFF_S)
             _, decoded = self._request("GET", path)
@@ -183,22 +221,20 @@ class RemoteSession:
 
         Blocks until the server has an envelope (a store hit returns
         immediately; a miss waits for the job).  Raises ``KeyError`` for
-        an unknown experiment, ``TypeError``/``ValueError`` for invalid
-        parameters, and :class:`RemoteRunError` when the server-side
-        execution itself failed.
+        an unknown experiment or circuit digest, ``TypeError``/
+        ``ValueError`` for invalid parameters, and
+        :class:`RemoteRunError` when the server-side execution itself
+        failed.
         """
         with self._traced("client.run", experiment=experiment,
                           quick=bool(quick)):
-            try:
-                response, envelope = self._request("POST", "/run", {
-                    "experiment": experiment,
-                    "quick": quick,
-                    "force": force,
-                    "params": params,
-                    "wait": True,
-                })
-            except urllib.error.HTTPError as error:
-                _raise_mapped(error)
+            response, envelope = self._request("POST", "/run", {
+                "experiment": experiment,
+                "quick": quick,
+                "force": force,
+                "params": params,
+                "wait": True,
+            })
             if response.headers.get("X-Repro-Store") == "hit":
                 self.hits += 1
             else:
@@ -222,24 +258,13 @@ class RemoteSession:
         """
         with self._traced("client.sweep", experiment=spec.experiment,
                           quick=bool(spec.quick)):
-            try:
-                _, description = self._request("POST", "/sweeps",
-                                               {**spec.to_dict(),
-                                                "force": bool(force)})
-            except urllib.error.HTTPError as error:
-                _raise_mapped(error)
+            _, description = self._request("POST", "/sweeps",
+                                           {**spec.to_dict(),
+                                            "force": bool(force)})
         cells = spec.cells()
         stream_path = (description.get("stream_url")
                        or f"/sweeps/{description['id']}/stream")
-        request = urllib.request.Request(
-            self.base_url + stream_path, method="GET",
-        )
-        try:
-            response = urllib.request.urlopen(request,
-                                              timeout=self.timeout)
-        except urllib.error.HTTPError as error:
-            _raise_mapped(error)
-        with response:
+        with self._open("GET", stream_path) as response:
             # http.client de-chunks transparently; iterating the
             # response yields the stream's JSON lines as they arrive.
             for raw in response:
@@ -273,13 +298,8 @@ class RemoteSession:
         """Run every cell of ``spec`` on the server; the canonically
         ordered :class:`~repro.api.sweep.SweepResult` — the same object
         a local ``Session.run_sweep`` returns."""
-        pairs = list(self.iter_sweep(spec, force=force))
-        pairs.sort(key=lambda pair: pair[0].index)
-        return SweepResult(
-            experiment=spec.experiment, quick=spec.quick,
-            cells=tuple(cell for cell, _ in pairs),
-            results=tuple(result for _, result in pairs),
-        )
+        return SweepResult.from_pairs(spec,
+                                      self.iter_sweep(spec, force=force))
 
     def upload_circuit(self, qasm_text: str) -> str:
         """``POST /circuits``: ingest an OpenQASM program; the digest.
@@ -289,37 +309,22 @@ class RemoteSession:
         parameters.  Raises ``ValueError`` on malformed QASM (the
         server's line-attributed validation message).
         """
-        request = urllib.request.Request(
-            self.base_url + "/circuits", data=qasm_text.encode("utf-8"),
-            headers={"Content-Type": "text/plain; charset=utf-8"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                decoded = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            _raise_mapped(error)
-        return decoded["digest"]
+        with self._open("POST", "/circuits", qasm_text.encode("utf-8"),
+                        {"Content-Type": "text/plain; charset=utf-8"}
+                        ) as response:
+            return json.loads(response.read().decode("utf-8"))["digest"]
 
     def circuit_qasm(self, digest: str) -> str:
         """``GET /circuits/<digest>``: the stored canonical QASM text
         (``KeyError`` when the server does not hold the digest)."""
-        request = urllib.request.Request(
-            self.base_url + f"/circuits/{digest}", method="GET")
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            if error.code in (400, 404):
-                raise KeyError(_decode_error(error)[0]) from None
-            raise
+        with self._open("GET", f"/circuits/{digest}") as response:
+            return response.read().decode("utf-8")
 
     def submit(self, experiment: str, quick: bool = False,
                force: bool = False, **params) -> Dict[str, Any]:
         """Enqueue without waiting; returns the job description
-        (or, on a store hit, the envelope itself)."""
+        (or, on a store hit, the envelope itself).  Raises like
+        :meth:`run` for an unknown experiment or invalid parameters."""
         _, decoded = self._request("POST", "/run", {
             "experiment": experiment,
             "quick": quick,
@@ -338,30 +343,15 @@ class RemoteSession:
 
     def result(self, key: str) -> Dict[str, Any]:
         """The stored envelope under ``key`` (``KeyError`` on a miss)."""
-        try:
-            return self._get(f"/results/{key}")
-        except urllib.error.HTTPError as error:
-            if error.code in (400, 404):
-                raise KeyError(_decode_error(error)[0]) from None
-            raise
+        return self._get(f"/results/{key}")
 
     def job(self, job_id: str) -> Dict[str, Any]:
-        try:
-            return self._get(f"/jobs/{job_id}")
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                raise KeyError(_decode_error(error)[0]) from None
-            raise
+        return self._get(f"/jobs/{job_id}")
 
     def sweep(self, sweep_id: str) -> Dict[str, Any]:
         """Per-cell status of a submitted sweep (``KeyError`` if the
         server no longer tracks it)."""
-        try:
-            return self._get(f"/sweeps/{sweep_id}")
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                raise KeyError(_decode_error(error)[0]) from None
-            raise
+        return self._get(f"/sweeps/{sweep_id}")
 
     def metrics(self) -> Dict[str, Any]:
         return self._get("/metrics")

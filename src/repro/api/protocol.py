@@ -14,7 +14,7 @@ drift apart again.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Protocol, Tuple, runtime_checkable
+from typing import Iterator, Protocol, Tuple, runtime_checkable
 
 from repro.api.results import ExperimentResult
 from repro.api.sweep import SweepCell, SweepResult, SweepSpec

@@ -246,13 +246,8 @@ class Session:
         :class:`~repro.api.sweep.SweepResult` envelope."""
         from repro.api.sweep import SweepResult
 
-        cells = []
-        results = []
-        for cell, result in self.iter_sweep(spec, force=force):
-            cells.append(cell)
-            results.append(result)
-        return SweepResult(experiment=spec.experiment, quick=spec.quick,
-                           cells=tuple(cells), results=tuple(results))
+        return SweepResult.from_pairs(spec,
+                                      self.iter_sweep(spec, force=force))
 
     # -- introspection -----------------------------------------------------------------
 

@@ -44,7 +44,8 @@ per-cell results, with ``to_dict``/``from_dict`` mirroring
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from repro.api.results import ExperimentResult
 
@@ -288,6 +289,19 @@ class SweepResult:
                 for cell, result in self
             ],
         }
+
+    @classmethod
+    def from_pairs(
+        cls, spec: SweepSpec,
+        pairs: Iterable[Tuple[SweepCell, ExperimentResult]],
+    ) -> "SweepResult":
+        """The result of ``spec`` from its ``(cell, result)`` pairs in
+        any order (a server streams them in completion order), aligned
+        to the canonical cell order."""
+        ordered = sorted(pairs, key=lambda pair: pair[0].index)
+        return cls(experiment=spec.experiment, quick=spec.quick,
+                   cells=tuple(cell for cell, _ in ordered),
+                   results=tuple(result for _, result in ordered))
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SweepResult":

@@ -18,7 +18,7 @@ All passes preserve unitary semantics exactly (verified in the tests).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate, SELF_INVERSE_NAMES

@@ -15,7 +15,6 @@ One :class:`CompilerConfig` captures every knob the paper sweeps:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
 
 from repro.hardware.restriction import RADIUS_FUNCTIONS, RestrictionModel
 

@@ -13,7 +13,7 @@ after virtual remapping shifts atoms around.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Tuple
 

@@ -28,7 +28,6 @@ from repro.exec.cache import (
     CompileCache,
     cached_compile,
     get_cache,
-    get_cache_dir,
 )
 from repro.exec.engine import (
     ExecBackend,
@@ -60,7 +59,6 @@ __all__ = [
     "derive_seed",
     "grid_map",
     "get_cache",
-    "get_cache_dir",
     "resolve_backend",
     "run_tasks",
     "task_grid",

@@ -152,10 +152,6 @@ def get_cache() -> CompileCache:
     return current_session().cache
 
 
-def get_cache_dir() -> Optional[str]:
-    return get_cache().path
-
-
 # -- the cached compile entry point ------------------------------------------------
 
 

@@ -33,19 +33,7 @@ from repro.experiments import ext_geometry  # noqa: F401  isort:skip
 from repro.experiments import ext_validation_noisy  # noqa: F401  isort:skip
 from repro.experiments import workloads  # noqa: F401  isort:skip
 
-import sys as _sys
-
-from repro.api.registry import all_experiments as _all_experiments
-
-#: Legacy name -> module table, derived from the registry so the two
-#: can never drift; prefer ``repro.api.all_experiments()``, which
-#: returns the declarative specs in the same order.
-ALL_EXPERIMENTS = {
-    name: _sys.modules[spec.runner.__module__]
-    for name, spec in _all_experiments().items()
-}
-
-__all__ = ["ALL_EXPERIMENTS"] + [
+__all__ = [
     "ablation_lookahead",
     "ablation_margin",
     "ablation_zones",

@@ -142,11 +142,3 @@ SPEC = register_experiment(
     result_type=LookaheadResult,
     quick=dict(program_size=20),
 )
-
-
-def main() -> None:
-    print(run(program_size=20).format())
-
-
-if __name__ == "__main__":
-    main()

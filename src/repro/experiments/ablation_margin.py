@@ -18,7 +18,7 @@ device:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -153,11 +153,3 @@ SPEC = register_experiment(
     result_type=MarginResult,
     quick=dict(program_size=20, trials=2, margins=(1.0, 2.0)),
 )
-
-
-def main() -> None:
-    print(run(trials=2, margins=(1.0, 2.0)).format())
-
-
-if __name__ == "__main__":
-    main()

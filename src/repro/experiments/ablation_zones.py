@@ -15,7 +15,7 @@ Depth must be monotone in both knobs; gate counts should be unaffected
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -140,11 +140,3 @@ SPEC = register_experiment(
     result_type=ZoneAblationResult,
     quick=dict(benchmarks=("qaoa",), program_size=20),
 )
-
-
-def main() -> None:
-    print(run(benchmarks=("qaoa",), program_size=20).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,7 @@ in ``benchmarks/`` can regenerate each figure quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.architectures import (
     DEFAULT_GRID_SIDE,

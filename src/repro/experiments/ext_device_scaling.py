@@ -119,11 +119,3 @@ SPEC = register_experiment(
     result_type=ScalingResult,
     quick=dict(grid_sides=(6, 10)),
 )
-
-
-def main() -> None:
-    print(run(grid_sides=(6, 10)).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -19,7 +19,6 @@ from repro.api.results import ExperimentResult
 from repro.core.config import CompilerConfig
 from repro.exec.cache import cached_compile
 from repro.hardware.loss import LossModel
-from repro.hardware.noise import NoiseModel
 from repro.hardware.topology import Topology
 from repro.loss.runner import RunResult, ShotSpec, run_shot_grid_map
 from repro.loss.strategies.compile_small import compiled_distance
@@ -110,11 +109,3 @@ SPEC = register_experiment(
     result_type=EjectionResult,
     quick=dict(shots=60),
 )
-
-
-def main() -> None:
-    print(run(shots=60).format())
-
-
-if __name__ == "__main__":
-    main()

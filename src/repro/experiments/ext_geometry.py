@@ -11,7 +11,7 @@ for 2D tweezer arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -138,11 +138,3 @@ SPEC = register_experiment(
     result_type=GeometryResult,
     quick=dict(benchmarks=("bv",), grid_side=5),
 )
-
-
-def main() -> None:
-    print(run(benchmarks=("bv",), grid_side=5).format())
-
-
-if __name__ == "__main__":
-    main()

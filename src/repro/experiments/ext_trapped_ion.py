@@ -21,7 +21,7 @@ coherence budget goes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.architectures import (
     Architecture,
@@ -117,11 +117,3 @@ SPEC = register_experiment(
     result_type=ThreeWayResult,
     quick=dict(benchmarks=("bv", "cnu", "qaoa"), program_size=20),
 )
-
-
-def main() -> None:
-    print(run(benchmarks=("bv", "cnu", "qaoa"), program_size=20).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ benchmarks small enough to simulate exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -120,11 +120,3 @@ SPEC = register_experiment(
     result_type=NoisyValidationResult,
     quick=dict(shots=150),
 )
-
-
-def main() -> None:
-    print(run(shots=200).format())
-
-
-if __name__ == "__main__":
-    main()

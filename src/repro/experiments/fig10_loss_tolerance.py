@@ -13,7 +13,7 @@ entries at MID 2 (it never compiles to distance 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -132,11 +132,3 @@ SPEC = register_experiment(
     result_type=Fig10Result,
     quick=dict(mids=(2.0, 3.0), program_size=20, trials=2),
 )
-
-
-def main() -> None:
-    print(run(mids=(2.0, 3.0, 4.0), trials=3).format())
-
-
-if __name__ == "__main__":
-    main()

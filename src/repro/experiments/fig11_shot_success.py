@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import ProgramMetrics
 from repro.analysis.success import calibrate_two_qubit_error
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -179,11 +178,3 @@ SPEC = register_experiment(
     quick=dict(benchmarks=("cnu",), mids=(3.0,), max_holes=10,
                program_size=20, trials=2),
 )
-
-
-def main() -> None:
-    print(run(benchmarks=("cnu",), mids=(3.0,), max_holes=10, trials=2).format())
-
-
-if __name__ == "__main__":
-    main()

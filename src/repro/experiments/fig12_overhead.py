@@ -14,7 +14,7 @@ reproduced:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -171,11 +171,3 @@ SPEC = register_experiment(
     result_type=Fig12Result,
     quick=dict(mids=(3.0, 4.0), shots=120, program_size=20),
 )
-
-
-def main() -> None:
-    print(run(mids=(3.0, 5.0), shots=100).format())
-
-
-if __name__ == "__main__":
-    main()

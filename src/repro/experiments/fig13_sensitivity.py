@@ -106,11 +106,3 @@ SPEC = register_experiment(
     quick=dict(mids=(4.0,), factors=(1.0, 10.0), shots_per_run=150,
                program_size=20),
 )
-
-
-def main() -> None:
-    print(run(mids=(3.0, 5.0), factors=(0.1, 1.0, 10.0), shots_per_run=150).format())
-
-
-if __name__ == "__main__":
-    main()

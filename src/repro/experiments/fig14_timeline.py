@@ -8,8 +8,8 @@ time, so reducing reload *count* is what matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -98,11 +98,3 @@ SPEC = register_experiment(
     result_type=Fig14Result,
     quick=dict(target_shots=10, program_size=20),
 )
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -108,11 +108,3 @@ SPEC = register_experiment(
     quick=dict(max_size=30, size_step=10, mids=(2.0, 3.0, 5.0),
                qft_line_sizes=(10, 26)),
 )
-
-
-def main() -> None:
-    print(run(max_size=60, size_step=15).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -146,11 +146,3 @@ SPEC = register_experiment(
     quick=dict(max_size=24, size_step=8, mids=(2.0, 3.0),
                qaoa_line_sizes=(16,)),
 )
-
-
-def main() -> None:
-    print(run(max_size=40, size_step=10, mids=(2.0, 3.0, 5.0)).format())
-
-
-if __name__ == "__main__":
-    main()

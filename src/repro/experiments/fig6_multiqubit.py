@@ -14,7 +14,7 @@ configuration also decomposes there (the paper makes the same point in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.analysis.architectures import compiled_metrics, metrics_grid_map
 from repro.api.registry import register_experiment
@@ -117,11 +117,3 @@ SPEC = register_experiment(
     result_type=Fig6Result,
     quick=dict(sizes=(16, 30), mids=(2.0, 3.0)),
 )
-
-
-def main() -> None:
-    print(run(sizes=(20, 40), mids=(2.0, 3.0, 5.0)).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,7 @@ gate opportunities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.architectures import (
     neutral_atom_arch,
@@ -91,11 +91,3 @@ SPEC = register_experiment(
     result_type=Fig7Result,
     quick=dict(program_size=24, error_points=9),
 )
-
-
-def main() -> None:
-    print(run(error_points=9).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -98,11 +98,3 @@ SPEC = register_experiment(
     result_type=Fig8Result,
     quick=dict(max_size=30, size_step=10, error_points=9),
 )
-
-
-def main() -> None:
-    print(run(max_size=50, size_step=10, error_points=9).format())
-
-
-if __name__ == "__main__":
-    main()

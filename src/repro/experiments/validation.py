@@ -15,7 +15,7 @@ benchmark.  Qiskit is unavailable offline; we validate more strongly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -120,11 +120,3 @@ SPEC = register_experiment(
     runner=run,
     result_type=ValidationResult,
 )
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -23,7 +23,7 @@ sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.analysis.metrics import ProgramMetrics
 from repro.api.registry import register_experiment
@@ -237,11 +237,3 @@ register_experiment(
     quick=dict(num_qubits=6, num_gates=18, mids=(1.0, 3.0)),
     doc="Generated family: random-structure programs",
 )
-
-
-def main() -> None:
-    print(run_workload_metrics(program_size=8, mids=(1.0, 3.0)).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -29,9 +29,9 @@ import sys
 import threading
 import time
 import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, Optional
 
+from repro.api.client import ServerError, open_url
 from repro.fleet.protocol import (
     CLAIM_PATH,
     COMPLETE_PATH,
@@ -40,6 +40,12 @@ from repro.fleet.protocol import (
 )
 from repro.fleet.leases import LeaseLost
 from repro.obs import trace as _obs
+
+#: Failures a worker outlives: the server unreachable, restarting or
+#: timing out, or answering with an error status (``WorkerClient``'s
+#: ``RuntimeError``).  The next poll, beat or lease expiry recovers.
+TRANSIENT_ERRORS = (urllib.error.URLError, TimeoutError, ConnectionError,
+                    RuntimeError)
 
 
 def default_worker_id(slot: Optional[int] = None) -> str:
@@ -59,25 +65,25 @@ class WorkerClient:
         self.worker_id = worker_id
         self.timeout = timeout
 
-    def _post(self, path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        request = urllib.request.Request(
-            self.base_url + path, data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"}, method="POST")
+    def _send(self, path: str, data: Optional[bytes] = None,
+              headers: Optional[Dict[str, str]] = None) -> bytes:
+        """The response body of one request (a POST when ``data`` is
+        given).  A 409 naming ``LeaseLost`` raises :class:`LeaseLost`;
+        any other error status a ``RuntimeError`` naming ``path``."""
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", "replace")
-            try:
-                payload = json.loads(body)
-            except ValueError:
-                payload = {"error": body or f"HTTP {error.code}"}
-            if error.code == 409 and payload.get("error_type") == "LeaseLost":
-                raise LeaseLost(payload.get("error", "lease lost")) from None
-            raise RuntimeError(
-                f"{path} failed: HTTP {error.code}: "
-                f"{payload.get('error', body)}") from None
+            with open_url(self.base_url + path, data, headers=headers,
+                          timeout=self.timeout) as response:
+                return response.read()
+        except ServerError as error:
+            if error.status == 409 and error.error_type == "LeaseLost":
+                raise LeaseLost(error.message) from None
+            raise RuntimeError(f"{path} failed: HTTP "
+                               f"{error.status}: {error.message}") from None
+
+    def _post(self, path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return json.loads(self._send(
+            path, json.dumps(payload).encode(),
+            {"Content-Type": "application/json"}).decode("utf-8"))
 
     def claim(self) -> Optional[Dict[str, Any]]:
         """One claim attempt; the job description, or ``None`` if idle."""
@@ -89,21 +95,7 @@ class WorkerClient:
         Raises ``RuntimeError`` when the server does not hold the digest
         (or any other HTTP failure) — a job referencing it cannot run.
         """
-        request = urllib.request.Request(
-            self.base_url + "/circuits/" + digest, method="GET")
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", "replace")
-            try:
-                message = json.loads(body).get("error", body)
-            except ValueError:
-                message = body or f"HTTP {error.code}"
-            raise RuntimeError(
-                f"/circuits/{digest[:16]}… failed: HTTP {error.code}: "
-                f"{message}") from None
+        return self._send("/circuits/" + digest).decode("utf-8")
 
     def heartbeat(self, job_id: str) -> float:
         """Renew the lease; seconds to expiry.  Raises LeaseLost."""
@@ -189,8 +181,7 @@ class FleetWorker:
                 break
             try:
                 claimed = self.client.claim()
-            except (urllib.error.URLError, TimeoutError, ConnectionError,
-                    RuntimeError) as error:
+            except TRANSIENT_ERRORS as error:
                 self._log(f"claim failed ({error}); retrying")
                 self.stop_event.wait(self.poll_interval)
                 continue
@@ -240,8 +231,7 @@ class FleetWorker:
             return
         try:
             self.client.export_spans(spans)
-        except (urllib.error.URLError, TimeoutError, ConnectionError,
-                RuntimeError) as error:
+        except TRANSIENT_ERRORS as error:
             self._log(f"span export for trace {trace_id[:16]}… failed "
                       f"({error}); dropped {len(spans)} spans")
 
@@ -261,8 +251,7 @@ class FleetWorker:
                 except LeaseLost:
                     lost.set()
                     return
-                except (urllib.error.URLError, TimeoutError,
-                        ConnectionError, RuntimeError):
+                except TRANSIENT_ERRORS:
                     # A flaky beat is survivable; the next one renews.
                     continue
 
@@ -340,8 +329,7 @@ class FleetWorker:
             self.jobs_lost += 1
             self._log(f"job {job_id} completed elsewhere; discarding")
             return False
-        except (urllib.error.URLError, TimeoutError, ConnectionError,
-                RuntimeError) as error:
+        except TRANSIENT_ERRORS as error:
             # The one lossy window: executed but unreported.  The lease
             # expires and the job re-runs deterministically elsewhere.
             self.jobs_lost += 1

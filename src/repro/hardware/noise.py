@@ -22,7 +22,7 @@ Two named parameter sets ship with the library:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Optional
 
 from repro.circuits.circuit import Circuit

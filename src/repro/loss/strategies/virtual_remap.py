@@ -13,7 +13,6 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
                     Set, Tuple)
 
 from repro.core.result import CompiledProgram, ScheduledOp
-from repro.hardware.topology import Topology
 from repro.loss.strategies.base import CopingStrategy, LossOutcome
 from repro.loss.virtual_map import RemapFailed, VirtualMap
 

@@ -13,7 +13,7 @@ Practical up to ~14 qubits, which covers every correctness test here.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

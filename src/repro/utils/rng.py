@@ -9,7 +9,7 @@ reproducible by construction.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import cx, h, x, z
+from repro.circuits.gates import cx, h, x
 
 
 def bernstein_vazirani(num_qubits: int, secret: Optional[str] = None) -> Circuit:

@@ -9,7 +9,6 @@ followed by an ``RX`` mixer on every qubit.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit

@@ -8,8 +8,7 @@ preparation and a standalone QFT as additional library circuits.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import ccx, cx, h, rx, rz, rzz

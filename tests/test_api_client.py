@@ -12,8 +12,10 @@ from repro.api import (
     ExperimentResult,
     RemoteRunError,
     Session,
+    SweepSpec,
     all_experiments,
 )
+from repro.api.client import ServerError, _local_error
 from repro.api.session import install_default
 
 
@@ -79,6 +81,54 @@ class TestErrorMapping:
     def test_missing_result_is_key_error(self, remote):
         with pytest.raises(KeyError):
             remote.result("a" * 64)
+
+    def test_unknown_circuit_digest_is_key_error_like_local(self, remote):
+        """The server's 400 names ``KeyError``; a local Session raises
+        the same class for the same parameters."""
+        ref = "circuit:" + "ab" * 32
+        with pytest.raises(KeyError, match="upload"):
+            Session().run("workload-metrics", quick=True, workload=ref)
+        with pytest.raises(KeyError, match="upload"):
+            remote.run("workload-metrics", quick=True, workload=ref)
+
+    def test_sweep_over_unknown_circuit_digest_is_key_error(self, remote):
+        spec = SweepSpec("workload-metrics", quick=True,
+                         axes={"workload": ("bv", "circuit:" + "cd" * 32)})
+        with pytest.raises(KeyError, match="upload"):
+            next(remote.iter_sweep(spec))
+
+    def test_submit_maps_errors_like_run(self, remote):
+        with pytest.raises(KeyError, match="unknown experiment"):
+            remote.submit("nope")
+        with pytest.raises(TypeError, match="has no parameter"):
+            remote.submit("validation", bogus=1)
+
+    def test_malformed_lookup_ids_are_misses(self, remote):
+        """A 400 on a read by id (malformed id) is a ``KeyError``."""
+        with pytest.raises(KeyError):
+            remote.result("not-a-key")
+        with pytest.raises(KeyError):
+            remote.circuit_qasm("not-a-digest")
+
+
+@pytest.mark.parametrize("status, error_type, method, expected", [
+    (400, "KeyError", "POST", KeyError),
+    (400, "TypeError", "POST", TypeError),
+    (400, "ValueError", "POST", ValueError),
+    (400, None, "POST", ValueError),
+    (409, None, "POST", ValueError),
+    (404, None, "POST", KeyError),
+    (404, None, "GET", KeyError),
+    (400, "ValueError", "GET", KeyError),
+    (400, "LeaseLost", "POST", ValueError),
+    (500, None, "POST", RemoteRunError),
+    (503, "ValueError", "GET", RemoteRunError),
+])
+def test_one_mapping_from_server_errors(status, error_type, method,
+                                        expected):
+    error = _local_error(ServerError(status, "why", error_type), method)
+    assert type(error) is expected
+    assert "why" in str(error)
 
 
 class TestReadOnlyViews:

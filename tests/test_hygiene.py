@@ -1,0 +1,138 @@
+"""Source hygiene checks over ``src/repro``, on the standard library only.
+
+No linter ships with the project, so the one lint rule the tree keeps —
+no unused module-level import — is checked here with ``ast``.  An
+import counts as used when its bound name appears anywhere in the
+module as a name (string annotations included) or in ``__all__``.
+Package ``__init__.py`` files (re-exports), ``from __future__`` and
+statements marked ``# noqa: F401`` are exempt.  A second check keeps
+every HTTP request of the serve-protocol clients in one function.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _module_imports(tree):
+    """Top-level import statements, including those under a module-level
+    ``if``/``try`` (never inside a function or class)."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            pending.extend(child for child in ast.iter_child_nodes(node)
+                           if isinstance(child, ast.stmt))
+            for handler in getattr(node, "handlers", ()):
+                pending.extend(handler.body)
+
+
+def _bound_names(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    names = []
+    for alias in node.names:
+        if alias.name == "*":
+            continue
+        if alias.asname is not None:
+            names.append(alias.asname)
+        else:
+            names.append(alias.name.split(".")[0])
+    return names
+
+
+def _used_names(tree):
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name)
+                      and target.id == "__all__"
+                      for target in node.targets)):
+            used.update(constant.value for constant in ast.walk(node.value)
+                        if isinstance(constant, ast.Constant))
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                             str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def unused_imports(path):
+    """``(line, name)`` for each unused module-level import in ``path``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    used = _used_names(tree)
+    unused = []
+    for node in _module_imports(tree):
+        statement = lines[node.lineno - 1:node.end_lineno]
+        if any("noqa: F401" in line for line in statement):
+            continue
+        unused.extend((node.lineno, name) for name in _bound_names(node)
+                      if name not in used)
+    return unused
+
+
+def test_scanner_flags_only_unused_imports(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "import re  # noqa: F401\n"
+        "from typing import Dict, List, Optional\n"
+        "from collections import OrderedDict as Ordered\n"
+        "from decimal import Decimal\n"
+        "__all__ = ['Decimal']\n"
+        "def f(x: 'Optional[int]') -> Dict[str, int]:\n"
+        "    return os.path.join(x)\n",
+        encoding="utf-8")
+    assert unused_imports(module) == [(2, "json"), (5, "List"),
+                                      (6, "Ordered")]
+
+
+def test_no_unused_module_level_imports():
+    found = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path)
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_one_transport_for_every_client():
+    """``repro.api.client.open_url`` is the one place in ``src`` that
+    opens an HTTP request or decodes an error status."""
+    client = SRC / "api" / "client.py"
+    open_url = next(node for node in ast.parse(client.read_text()).body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "open_url")
+    outside = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else getattr(node, "id", None))
+            if name not in ("urlopen", "HTTPError"):
+                continue
+            if (path == client
+                    and open_url.lineno <= node.lineno <= open_url.end_lineno):
+                continue
+            outside.append(f"{path.relative_to(SRC.parent)}:{node.lineno}: "
+                           f"{name}")
+    assert not outside, "HTTP outside open_url:\n" + "\n".join(outside)

@@ -16,12 +16,13 @@ driver can quietly regress to a serial, cache-bypassing loop:
    drift.
 """
 
+import sys
+
 import pytest
 
 from repro.api import Session, all_experiments
 from repro.api.registry import get_experiment
 from repro.api.session import install_default
-from repro.experiments import ALL_EXPERIMENTS
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +36,8 @@ def test_no_driver_imports_the_raw_compiler():
     """Drivers must compile via the session cache, never directly; a
     module-level ``compile_circuit`` import would dodge the
     instrumentation below."""
-    for name, module in ALL_EXPERIMENTS.items():
+    for name, spec in all_experiments().items():
+        module = sys.modules[spec.runner.__module__]
         assert not hasattr(module, "compile_circuit"), (
             f"experiment {name!r} ({module.__name__}) imports "
             "compile_circuit directly; route it through "
