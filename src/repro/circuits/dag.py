@@ -135,23 +135,25 @@ class Frontier:
         """
         # ``_remaining_preds`` is maintained incrementally by complete(),
         # so for every unexecuted gate it already equals the number of
-        # unexecuted predecessors — no need to recount the whole DAG.
-        # Layer 0 is exactly the ready set.
-        remaining_preds = list(self._remaining_preds)
+        # unexecuted predecessors; layer 0 is exactly the ready set.  Only
+        # the successors this walk visits are counted down, in a local
+        # map.  Every successor of an unexecuted gate is unexecuted, and
+        # each gate lands in one layer, so each edge is visited at most
+        # once and a count reaches zero exactly once.
+        remaining_preds = self._remaining_preds
+        successors = self.dag.successors
+        pending: Dict[int, int] = {}
         layers: List[List[int]] = []
         current = sorted(self._ready)
-        produced: Set[int] = set(current)
         while current and len(layers) < max_layers:
             layers.append(current)
             next_layer: List[int] = []
             for idx in current:
-                for succ in self.dag.successors[idx]:
-                    if succ in produced or self._done[succ]:
-                        continue
-                    remaining_preds[succ] -= 1
-                    if remaining_preds[succ] == 0:
+                for succ in successors[idx]:
+                    left = pending.get(succ, remaining_preds[succ]) - 1
+                    pending[succ] = left
+                    if left == 0:
                         next_layer.append(succ)
-                        produced.add(succ)
             current = next_layer
         return layers
 

@@ -1,6 +1,11 @@
 """The neutral-atom compiler: the paper's primary contribution."""
 
-from repro.core.compiler import compile_circuit, max_native_arity_for_distance
+from repro.core.compiler import (
+    LoweredCircuit,
+    compile_circuit,
+    lower_circuit,
+    max_native_arity_for_distance,
+)
 from repro.core.config import CompilerConfig
 from repro.core.errors import (
     CompilationError,
@@ -23,6 +28,7 @@ __all__ = [
     "CompilerConfig",
     "DisconnectedTopologyError",
     "InteractionWeights",
+    "LoweredCircuit",
     "MappingError",
     "ScheduledOp",
     "SchedulingStalledError",
@@ -32,6 +38,7 @@ __all__ = [
     "frontier_weights",
     "initial_mapping",
     "initial_weights",
+    "lower_circuit",
     "max_native_arity_for_distance",
     "propose_swap",
     "reroute_path_swaps",

@@ -1,15 +1,19 @@
 """Top-level compile entry point.
 
 ``compile_circuit(circuit, topology, config)`` runs the full §III-A
-pipeline:
+pipeline in two stages:
 
-1. **Lowering** — gates wider than ``config.native_max_arity`` (or wider
-   than the topology can ever bring into mutual range) are decomposed.
-   At MID 1 even a Toffoli is impossible (three atoms cannot be pairwise
-   adjacent at distance 1 on a square grid), so it is decomposed — exactly
-   the paper's observation in §IV-B.
-2. **Placement** — greedy weighted placement at the device center.
-3. **Routing + scheduling** — the zone-aware lookahead scheduler.
+1. **Lowering** (:func:`lower_circuit`) — gates wider than
+   ``config.native_max_arity`` (or wider than the MID can ever bring into
+   mutual range) are decomposed.  At MID 1 even a Toffoli is impossible
+   (three atoms cannot be pairwise adjacent at distance 1 on a square
+   grid), so it is decomposed — exactly the paper's observation in §IV-B.
+   The dependency DAG, the placement weights and the placement order are
+   built here too.  Nothing in this stage looks at which atoms are
+   present, so its result serves every hole pattern at one MID.
+2. **Topology stage** — greedy weighted placement on the active sites
+   near the device center, then routing + scheduling with the zone-aware
+   lookahead scheduler.
 
 The result is a :class:`~repro.core.result.CompiledProgram`.
 """
@@ -18,16 +22,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Tuple, Union
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import decompose_circuit
 from repro.core.config import CompilerConfig
 from repro.core.errors import CompilationError
-from repro.core.mapping import initial_mapping
+from repro.core.mapping import initial_mapping, placement_order
 from repro.core.result import CompiledProgram
 from repro.core.scheduler import schedule_circuit
-from repro.core.weights import initial_weights
+from repro.core.weights import InteractionWeights, initial_weights
 from repro.circuits.dag import CircuitDag
 from repro.hardware.topology import Topology
 
@@ -48,8 +54,95 @@ def max_native_arity_for_distance(max_interaction_distance: float) -> int:
     return 8
 
 
+@dataclass(frozen=True)
+class LoweredCircuit:
+    """The topology-independent half of a compile (see :func:`lower_circuit`).
+
+    Every field depends only on the source circuit and the MID-normalized
+    config, so one record serves any number of topology stages at that MID
+    — the Always Recompile strategy lowers once and re-places on every
+    loss.  Shared between the programs compiled from it: never mutate.
+    """
+
+    #: The MID-normalized config the circuit was lowered under.
+    config: CompilerConfig
+    source: Circuit
+    #: ``source`` with every gate too wide for the MID decomposed.
+    circuit: Circuit
+    dag: CircuitDag
+    #: Lookahead weights seen from the start of the program.
+    weights: InteractionWeights
+    placement_order: Tuple[int, ...]
+    #: Wall-clock seconds the lowering took.
+    seconds: float
+
+    @cached_property
+    def source_fingerprint(self) -> Tuple:
+        """:func:`repro.exec.keys.circuit_fingerprint` of ``source``,
+        computed on first use (a plain compile never asks for it)."""
+        from repro.exec.keys import circuit_fingerprint
+
+        return circuit_fingerprint(self.source)
+
+
+def lower_circuit(circuit: Circuit, config: CompilerConfig) -> LoweredCircuit:
+    """Lower ``circuit`` for ``config``'s MID and build its placement inputs."""
+    start = time.perf_counter()
+    lowering_arity = min(
+        config.native_max_arity,
+        max_native_arity_for_distance(config.max_interaction_distance),
+    )
+    lowered = decompose_circuit(circuit, keep_swaps=True, max_arity=lowering_arity)
+    dag = CircuitDag(lowered)
+    weights = initial_weights(
+        dag, config.initial_mapping_layers, config.lookahead_decay
+    )
+    order = placement_order(lowered.num_qubits, weights)
+    return LoweredCircuit(
+        config=config,
+        source=circuit,
+        circuit=lowered,
+        dag=dag,
+        weights=weights,
+        placement_order=tuple(order),
+        seconds=time.perf_counter() - start,
+    )
+
+
+def stage_config(
+    circuit: Union[Circuit, LoweredCircuit],
+    topology: Topology,
+    config: Optional[CompilerConfig] = None,
+) -> CompilerConfig:
+    """The config a compile of ``circuit`` on ``topology`` runs under.
+
+    The topology's ``max_interaction_distance`` takes precedence over the
+    config's.  A :class:`LoweredCircuit` brings its own config
+    (``config`` may be omitted); it raises :class:`ValueError` when it
+    was lowered for another MID than the topology's — the lowering arity
+    depends on the MID — or under another config than ``config``.
+    """
+    mid = topology.max_interaction_distance
+    if isinstance(circuit, LoweredCircuit):
+        if abs(circuit.config.max_interaction_distance - mid) > 1e-9:
+            raise ValueError(
+                f"circuit was lowered for MID "
+                f"{circuit.config.max_interaction_distance}, but the "
+                f"topology's MID is {mid}"
+            )
+        if config is None:
+            return circuit.config
+    elif config is None:
+        config = CompilerConfig()
+    if abs(config.max_interaction_distance - mid) > 1e-9:
+        config = config.with_mid(mid)
+    if isinstance(circuit, LoweredCircuit) and config != circuit.config:
+        raise ValueError("circuit was lowered under another config")
+    return config
+
+
 def compile_circuit(
-    circuit: Circuit,
+    circuit: Union[Circuit, LoweredCircuit],
     topology: Topology,
     config: Optional[CompilerConfig] = None,
 ) -> CompiledProgram:
@@ -59,44 +152,39 @@ def compile_circuit(
     it differs from the config (the config is copied with the topology's
     MID), so callers can't accidentally compile for a different range than
     they execute on.
+
+    ``circuit`` may be a :class:`LoweredCircuit` from an earlier
+    :func:`lower_circuit` at the topology's MID (see :func:`stage_config`);
+    then only the topology stage runs.  Either way the program's
+    ``compile_seconds`` is the topology stage's measured seconds plus the
+    lowering's, so a program compiled from a reused lowering still reports
+    the cost of a whole compile.
     """
-    if config is None:
-        config = CompilerConfig()
-    if abs(config.max_interaction_distance - topology.max_interaction_distance) > 1e-9:
-        config = config.with_mid(topology.max_interaction_distance)
+    config = stage_config(circuit, topology, config)
+    if isinstance(circuit, LoweredCircuit):
+        lowered = circuit
+    else:
+        lowered = lower_circuit(circuit, config)
 
     start = time.perf_counter()
-
-    lowering_arity = min(
-        config.native_max_arity,
-        max_native_arity_for_distance(config.max_interaction_distance),
-    )
-    lowered = decompose_circuit(circuit, keep_swaps=True, max_arity=lowering_arity)
-
-    if lowered.num_qubits > topology.num_active:
+    if lowered.circuit.num_qubits > topology.num_active:
         raise CompilationError(
-            f"program needs {lowered.num_qubits} qubits "
+            f"program needs {lowered.circuit.num_qubits} qubits "
             f"(incl. decomposition ancillas) but the device has "
             f"{topology.num_active} active atoms"
         )
-
-    dag = CircuitDag(lowered)
-    weights = initial_weights(
-        dag, config.initial_mapping_layers, config.lookahead_decay
-    )
-    layout = initial_mapping(lowered.num_qubits, topology, weights)
-
+    layout = initial_mapping(lowered.placement_order, topology, lowered.weights)
     schedule, final_layout = schedule_circuit(
-        lowered, topology, config, layout, dag=dag
+        lowered.circuit, topology, config, layout, dag=lowered.dag
     )
 
     elapsed = time.perf_counter() - start
     return CompiledProgram(
-        source=lowered,
+        source=lowered.circuit,
         config=config,
         grid_shape=(topology.grid.rows, topology.grid.cols),
         initial_layout=layout,
         final_layout=final_layout,
         schedule=schedule,
-        compile_seconds=elapsed,
+        compile_seconds=elapsed + lowered.seconds,
     )

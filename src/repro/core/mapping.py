@@ -13,7 +13,7 @@ center-outward.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.weights import InteractionWeights
 from repro.hardware.topology import Topology
@@ -24,19 +24,21 @@ class MappingError(RuntimeError):
 
 
 def initial_mapping(
-    num_program_qubits: int,
+    order: Sequence[int],
     topology: Topology,
     weights: InteractionWeights,
 ) -> Dict[int, int]:
-    """Place ``num_program_qubits`` program qubits onto active sites.
+    """Place the program qubits in ``order`` onto active sites.
 
-    Returns a dict program qubit -> site.  Raises :class:`MappingError`
-    when the device has too few active atoms.
+    ``order`` is :func:`placement_order` of ``weights`` (it depends on no
+    topology, so callers compute it once per lowering).  Returns a dict
+    program qubit -> site.  Raises :class:`MappingError` when the device
+    has too few active atoms.
     """
     active = set(topology.active_sites())
-    if num_program_qubits > len(active):
+    if len(order) > len(active):
         raise MappingError(
-            f"program needs {num_program_qubits} qubits but only "
+            f"program needs {len(order)} qubits but only "
             f"{len(active)} atoms remain"
         )
 
@@ -46,9 +48,7 @@ def initial_mapping(
     mapping: Dict[int, int] = {}
     free: Set[int] = set(active)
 
-    placed_order = _placement_order(num_program_qubits, weights)
-
-    for qubit in placed_order:
+    for qubit in order:
         if not mapping:
             # First qubit of the heaviest pair: dead center.
             site = center_order[0]
@@ -59,7 +59,7 @@ def initial_mapping(
     return mapping
 
 
-def _placement_order(num_qubits: int, weights: InteractionWeights) -> List[int]:
+def placement_order(num_qubits: int, weights: InteractionWeights) -> List[int]:
     """Qubits ordered for placement: heaviest pair first, then greedily by
     weight to the already-ordered set, isolated qubits last."""
     remaining = set(range(num_qubits))

@@ -23,23 +23,25 @@ Pair = Tuple[int, int]
 
 
 class InteractionWeights:
-    """A symmetric sparse weight map over program-qubit pairs."""
+    """A symmetric sparse weight map over program-qubit pairs.
+
+    One map per qubit: ``_per_qubit[u][v]`` and ``_per_qubit[v][u]``
+    receive the same additions in the same order, so they stay equal bit
+    for bit and every pair query is answered from either side.
+    """
 
     def __init__(self) -> None:
-        self._weights: Dict[Pair, float] = defaultdict(float)
         self._per_qubit: Dict[int, Dict[int, float]] = defaultdict(dict)
 
-    @staticmethod
-    def _key(u: int, v: int) -> Pair:
-        return (u, v) if u <= v else (v, u)
-
     def add(self, u: int, v: int, weight: float) -> None:
-        self._weights[self._key(u, v)] += weight
+        if u == v:
+            raise ValueError(f"no interaction weight between qubit {u} "
+                             f"and itself")
         self._per_qubit[u][v] = self._per_qubit[u].get(v, 0.0) + weight
         self._per_qubit[v][u] = self._per_qubit[v].get(u, 0.0) + weight
 
     def weight(self, u: int, v: int) -> float:
-        return self._weights.get(self._key(u, v), 0.0)
+        return self._per_qubit.get(u, {}).get(v, 0.0)
 
     def partners(self, u: int) -> Dict[int, float]:
         """All qubits with nonzero weight to ``u`` and those weights."""
@@ -49,16 +51,21 @@ class InteractionWeights:
         return sum(self._per_qubit.get(u, {}).values())
 
     def heaviest_pair(self) -> Pair:
-        if not self._weights:
+        if not self._per_qubit:
             raise ValueError("no interactions recorded")
         # Deterministic tie-break on the pair itself.
-        return max(self._weights, key=lambda p: (self._weights[p], (-p[0], -p[1])))
+        return max(
+            self.pairs(),
+            key=lambda p: (self._per_qubit[p[0]][p[1]], (-p[0], -p[1])),
+        )
 
     def pairs(self) -> List[Pair]:
-        return list(self._weights)
+        """Every pair with recorded weight, as ``(u, v)`` with ``u < v``."""
+        return [(u, v) for u, partners in self._per_qubit.items()
+                for v in partners if u < v]
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return sum(map(len, self._per_qubit.values())) // 2
 
 
 def weights_from_layers(
@@ -76,14 +83,11 @@ def weights_from_layers(
     would — float sums stay bit-identical to the naive loop.
     """
     weights = InteractionWeights()
-    pair_weights = weights._weights
     per_qubit = weights._per_qubit
     for offset, layer in enumerate(layers):
         factor = math.exp(-decay * offset)
         for gate_idx in layer:
             for u, v in dag.weight_pairs(gate_idx):
-                key = (u, v) if u <= v else (v, u)
-                pair_weights[key] += factor
                 pu = per_qubit[u]
                 pu[v] = pu.get(v, 0.0) + factor
                 pv = per_qubit[v]

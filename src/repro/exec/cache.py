@@ -27,9 +27,10 @@ strategies replace their program, never mutate it).
 from __future__ import annotations
 
 import pickle
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.circuits.circuit import Circuit
+from repro.core.compiler import LoweredCircuit, stage_config
 from repro.core.config import CompilerConfig
 from repro.core.result import CompiledProgram
 from repro.exec.diskutil import ShardedDir
@@ -156,7 +157,7 @@ def get_cache() -> CompileCache:
 
 
 def cached_compile(
-    circuit: Circuit,
+    circuit: Union[Circuit, LoweredCircuit],
     topology: Topology,
     config: Optional[CompilerConfig] = None,
     persist: bool = True,
@@ -164,28 +165,21 @@ def cached_compile(
 ) -> CompiledProgram:
     """``compile_circuit`` behind a compile cache.
 
-    ``cache`` defaults to the current session's (see
-    :class:`repro.api.Session`); pass one explicitly to bypass session
-    resolution.  ``persist=False`` keeps the result out of the cache
-    entirely (the lookup still runs) — used for mid-run recompilations
-    against transient hole patterns: their keys are almost never seen
-    twice, so storing them would only grow the memory tier and bloat the
-    disk store without ever producing a hit.
+    ``circuit`` may be a :class:`~repro.core.compiler.LoweredCircuit`; it
+    shares its source circuit's key.  ``cache`` defaults to the current
+    session's (see :class:`repro.api.Session`); pass one explicitly to
+    bypass session resolution.  ``persist=False`` keeps the result out of
+    the cache entirely (the lookup still runs) — used for mid-run
+    recompilations against transient hole patterns: their keys are almost
+    never seen twice, so storing them would only grow the memory tier and
+    bloat the disk store without ever producing a hit.
     """
     from repro.core.compiler import compile_circuit
-
-    if config is None:
-        config = CompilerConfig(
-            max_interaction_distance=topology.max_interaction_distance
-        )
-    if abs(config.max_interaction_distance
-           - topology.max_interaction_distance) > 1e-9:
-        # Mirror compile_circuit's normalization so equal effective
-        # compilations share one key.
-        config = config.with_mid(topology.max_interaction_distance)
-
     from repro.obs import trace as _trace
 
+    # compile_circuit's normalization, so equal effective compilations
+    # share one key.
+    config = stage_config(circuit, topology, config)
     if cache is None:
         cache = get_cache()
     key = compile_key(circuit, topology, config)

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.circuits.circuit import Circuit
+from repro.core.compiler import LoweredCircuit
 from repro.core.config import CompilerConfig
 from repro.hardware.topology import Topology
 
@@ -89,19 +90,26 @@ def _digest(payload: Tuple) -> str:
 
 
 def compile_key(
-    circuit: Circuit, topology: Topology, config: CompilerConfig
+    circuit: Union[Circuit, LoweredCircuit],
+    topology: Topology,
+    config: CompilerConfig,
 ) -> str:
     """Content hash identifying one compilation.
 
     Invalidation rules: the key changes whenever the circuit semantics,
     the grid dimensions, the interaction distance, the set of lost
     sites, any :class:`CompilerConfig` field, or :data:`SCHEMA_VERSION`
-    changes — and only then.
+    changes — and only then.  A :class:`LoweredCircuit` keys as its
+    source circuit, with the fingerprint it computed once.
     """
+    if isinstance(circuit, LoweredCircuit):
+        fingerprint = circuit.source_fingerprint
+    else:
+        fingerprint = circuit_fingerprint(circuit)
     return _digest((
         "repro-compile",
         SCHEMA_VERSION,
-        circuit_fingerprint(circuit),
+        fingerprint,
         topology_fingerprint(topology),
         config_fingerprint(config),
     ))

@@ -1,0 +1,439 @@
+"""Differential referee for the two-stage compile.
+
+``compile_circuit`` runs as a lowering stage (``lower_circuit``: circuit
+and config only) and a topology stage (placement, routing, scheduling on
+the current atoms), and Always Recompile lowers its circuit once and
+reruns only the topology stage on each loss.  The lookahead weights keep
+one per-qubit map, and ``Frontier.remaining_layers`` counts down only the
+successors it visits.
+
+The references below are verbatim copies of the one-stage code, except
+that ``reference_compile_circuit`` passes the placement order to
+``initial_mapping`` (which no longer computes it) and builds its weights
+with the reference classes; the scheduler's ``frontier_weights`` is
+swapped for the reference while a reference program compiles.  Every
+program, layout and tolerance count must come out the same.
+"""
+
+import math
+import random
+import time
+from collections import defaultdict
+from typing import Dict, List, Optional, Set, Tuple
+
+import pytest
+
+from repro.api.session import install_default
+from repro.circuits.circuit import Circuit
+from repro.circuits.dag import CircuitDag, Frontier
+from repro.circuits.decompose import decompose_circuit
+from repro.circuits.gates import ccx, cx, h
+from repro.core import compiler, scheduler
+from repro.core.compiler import (compile_circuit, lower_circuit,
+                                 max_native_arity_for_distance)
+from repro.core.config import CompilerConfig
+from repro.core.errors import CompilationError
+from repro.core.mapping import initial_mapping, placement_order
+from repro.core.result import CompiledProgram
+from repro.core.weights import frontier_weights
+from repro.exec.cache import CompileCache, cached_compile
+from repro.exec.keys import compile_key
+from repro.hardware.topology import Topology
+from repro.loss.strategies import AlwaysRecompile, LossOutcome
+from repro.loss.tolerance import max_loss_tolerance
+from repro.workloads.registry import build_circuit
+
+FAMILIES = ("bv", "cnu", "cuccaro", "qft-adder", "qaoa")
+COMPILE_MIDS = (1.0, 2.0, 3.0, 5.0)
+HOLE_COUNTS = (0, 5, 20, 40)
+GRID_SIDE = 10
+PROGRAM_SIZE = 20
+
+
+@pytest.fixture(autouse=True)
+def fresh_default_session():
+    saved = install_default(None)
+    yield
+    install_default(saved)
+
+
+# -- the references ---------------------------------------------------------
+
+Pair = Tuple[int, int]
+
+
+class ReferenceInteractionWeights:
+    """A symmetric sparse weight map over program-qubit pairs."""
+
+    def __init__(self) -> None:
+        self._weights: Dict[Pair, float] = defaultdict(float)
+        self._per_qubit: Dict[int, Dict[int, float]] = defaultdict(dict)
+
+    @staticmethod
+    def _key(u: int, v: int) -> Pair:
+        return (u, v) if u <= v else (v, u)
+
+    def add(self, u: int, v: int, weight: float) -> None:
+        self._weights[self._key(u, v)] += weight
+        self._per_qubit[u][v] = self._per_qubit[u].get(v, 0.0) + weight
+        self._per_qubit[v][u] = self._per_qubit[v].get(u, 0.0) + weight
+
+    def weight(self, u: int, v: int) -> float:
+        return self._weights.get(self._key(u, v), 0.0)
+
+    def partners(self, u: int) -> Dict[int, float]:
+        """All qubits with nonzero weight to ``u`` and those weights."""
+        return self._per_qubit.get(u, {})
+
+    def total_weight(self, u: int) -> float:
+        return sum(self._per_qubit.get(u, {}).values())
+
+    def heaviest_pair(self) -> Pair:
+        if not self._weights:
+            raise ValueError("no interactions recorded")
+        # Deterministic tie-break on the pair itself.
+        return max(self._weights, key=lambda p: (self._weights[p], (-p[0], -p[1])))
+
+    def pairs(self) -> List[Pair]:
+        return list(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+
+def reference_weights_from_layers(
+    layers: List[List[int]],
+    dag: CircuitDag,
+    decay: float = 1.0,
+) -> ReferenceInteractionWeights:
+    weights = ReferenceInteractionWeights()
+    pair_weights = weights._weights
+    per_qubit = weights._per_qubit
+    for offset, layer in enumerate(layers):
+        factor = math.exp(-decay * offset)
+        for gate_idx in layer:
+            for u, v in dag.weight_pairs(gate_idx):
+                key = (u, v) if u <= v else (v, u)
+                pair_weights[key] += factor
+                pu = per_qubit[u]
+                pu[v] = pu.get(v, 0.0) + factor
+                pv = per_qubit[v]
+                pv[u] = pv.get(u, 0.0) + factor
+    return weights
+
+
+def reference_remaining_layers(self: Frontier,
+                               max_layers: int) -> List[List[int]]:
+    remaining_preds = list(self._remaining_preds)
+    layers: List[List[int]] = []
+    current = sorted(self._ready)
+    produced: Set[int] = set(current)
+    while current and len(layers) < max_layers:
+        layers.append(current)
+        next_layer: List[int] = []
+        for idx in current:
+            for succ in self.dag.successors[idx]:
+                if succ in produced or self._done[succ]:
+                    continue
+                remaining_preds[succ] -= 1
+                if remaining_preds[succ] == 0:
+                    next_layer.append(succ)
+                    produced.add(succ)
+        current = next_layer
+    return layers
+
+
+def reference_initial_weights(dag, max_layers=40, decay=1.0):
+    layers = dag.layers()[:max_layers]
+    return reference_weights_from_layers(layers, dag, decay=decay)
+
+
+def reference_frontier_weights(frontier, max_layers=10, decay=1.0):
+    layers = reference_remaining_layers(frontier, max_layers)
+    return reference_weights_from_layers(layers, frontier.dag, decay=decay)
+
+
+def reference_compile_circuit(
+    circuit: Circuit,
+    topology: Topology,
+    config: Optional[CompilerConfig] = None,
+) -> CompiledProgram:
+    if config is None:
+        config = CompilerConfig()
+    if abs(config.max_interaction_distance - topology.max_interaction_distance) > 1e-9:
+        config = config.with_mid(topology.max_interaction_distance)
+
+    start = time.perf_counter()
+
+    lowering_arity = min(
+        config.native_max_arity,
+        max_native_arity_for_distance(config.max_interaction_distance),
+    )
+    lowered = decompose_circuit(circuit, keep_swaps=True, max_arity=lowering_arity)
+
+    if lowered.num_qubits > topology.num_active:
+        raise CompilationError(
+            f"program needs {lowered.num_qubits} qubits "
+            f"(incl. decomposition ancillas) but the device has "
+            f"{topology.num_active} active atoms"
+        )
+
+    dag = CircuitDag(lowered)
+    weights = reference_initial_weights(
+        dag, config.initial_mapping_layers, config.lookahead_decay
+    )
+    layout = initial_mapping(placement_order(lowered.num_qubits, weights),
+                             topology, weights)
+
+    schedule, final_layout = scheduler.schedule_circuit(
+        lowered, topology, config, layout, dag=dag
+    )
+
+    elapsed = time.perf_counter() - start
+    return CompiledProgram(
+        source=lowered,
+        config=config,
+        grid_shape=(topology.grid.rows, topology.grid.cols),
+        initial_layout=layout,
+        final_layout=final_layout,
+        schedule=schedule,
+        compile_seconds=elapsed,
+    )
+
+
+class ReferenceRecompile(AlwaysRecompile):
+    """Recompiles from ``self.source`` on every interfering loss."""
+
+    def on_loss(self, site: int) -> LossOutcome:
+        if site not in self.program.used_sites():
+            return LossOutcome.spare_loss()
+        try:
+            recompiled = cached_compile(
+                self.source, self.topology, self.config, persist=False
+            )
+        except CompilationError:
+            return LossOutcome.needs_reload()
+        previous_swaps = self.program.swap_count
+        self.program = recompiled
+        self.added_swaps = 0
+        return LossOutcome(
+            coped=True,
+            interfering=True,
+            swaps_added=max(0, recompiled.swap_count - previous_swaps),
+            recompile_seconds=recompiled.compile_seconds,
+        )
+
+
+# -- helpers ----------------------------------------------------------------
+
+
+def program_view(program: CompiledProgram):
+    """Everything of a program but its measured compile time."""
+    return (program.source.gates, program.config, program.grid_shape,
+            program.initial_layout, program.final_layout, program.schedule,
+            program.swap_count, program.depth())
+
+
+def holey(mid: float, holes: int, seed: int) -> Topology:
+    topology = Topology.square(GRID_SIDE, mid)
+    for site in random.Random(seed).sample(range(GRID_SIDE ** 2), holes):
+        topology.remove_atom(site)
+    return topology
+
+
+def outcome(compile_fn, *args):
+    try:
+        return program_view(compile_fn(*args))
+    except CompilationError as error:
+        return type(error), str(error)
+
+
+# -- compile: one lowering, every hole pattern ------------------------------
+
+
+@pytest.mark.parametrize("mid", COMPILE_MIDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_lowering_compiles_like_the_reference(family, mid, monkeypatch):
+    circuit = build_circuit(family, PROGRAM_SIZE)
+    config = CompilerConfig(max_interaction_distance=mid)
+    lowered = lower_circuit(circuit, config)
+    for seed, holes in enumerate(HOLE_COUNTS):
+        topology = holey(mid, holes, seed)
+        actual = outcome(compile_circuit, lowered, topology, config)
+        assert outcome(compile_circuit, circuit, topology, config) == actual
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduler, "frontier_weights",
+                          reference_frontier_weights)
+            expected = outcome(reference_compile_circuit, circuit, topology,
+                               config)
+        assert actual == expected, (family, mid, holes)
+
+
+# -- recompile trials: lowered once vs recompiled from the source ------------
+
+
+@pytest.mark.parametrize("seed", (3, 17, 2024))
+@pytest.mark.parametrize("mid", (2.0, 3.0, 4.0, 5.0))
+@pytest.mark.parametrize("family", ("cnu", "cuccaro"))
+def test_recompile_trials_match_the_reference(family, mid, seed):
+    circuit = build_circuit(family, PROGRAM_SIZE)
+    results = []
+    for strategy in (AlwaysRecompile(), ReferenceRecompile()):
+        tolerance = max_loss_tolerance(strategy, circuit, GRID_SIDE, mid,
+                                       trials=2, rng=seed)
+        results.append((tolerance, program_view(strategy.program)))
+    assert results[0] == results[1]
+
+
+# -- weights and frontier layers over random progressions --------------------
+
+
+def random_progression_circuit(seed: int) -> Circuit:
+    rng = random.Random(seed)
+    num_qubits = rng.randint(3, 9)
+    gates = []
+    for _ in range(rng.randint(10, 60)):
+        arity = rng.choice((1, 2, 2, 3))
+        qubits = rng.sample(range(num_qubits), arity)
+        gates.append({1: h, 2: cx, 3: ccx}[arity](*qubits))
+    return Circuit(num_qubits, gates)
+
+
+def per_qubit_items(weights):
+    return [(u, list(partners.items()))
+            for u, partners in weights._per_qubit.items()]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_weights_and_layers_match_over_random_progressions(seed):
+    rng = random.Random(seed)
+    dag = CircuitDag(random_progression_circuit(seed))
+    frontier = Frontier(dag)
+    while True:
+        for max_layers in (1, 3, 10, 1000):
+            assert frontier.remaining_layers(max_layers) == \
+                reference_remaining_layers(frontier, max_layers)
+        actual = frontier_weights(frontier, 10, 0.7)
+        expected = reference_frontier_weights(frontier, 10, 0.7)
+        assert per_qubit_items(actual) == per_qubit_items(expected)
+        assert len(actual) == len(expected)
+        assert sorted(actual.pairs()) == sorted(expected.pairs())
+        for u in range(dag.circuit.num_qubits):
+            for v in range(dag.circuit.num_qubits):
+                if u != v:
+                    assert actual.weight(u, v) == expected.weight(u, v)
+        if len(expected):
+            assert actual.heaviest_pair() == expected.heaviest_pair()
+        else:
+            with pytest.raises(ValueError):
+                actual.heaviest_pair()
+        if frontier.all_done():
+            break
+        frontier.complete(rng.choice(sorted(frontier.ready)))
+
+
+# -- the contract of the new surface ----------------------------------------
+
+
+def lowered_cnu(mid: float = 3.0):
+    circuit = build_circuit("cnu", 12)
+    config = CompilerConfig(max_interaction_distance=mid)
+    return circuit, config, lower_circuit(circuit, config)
+
+
+def test_lowered_circuit_keys_as_its_source():
+    circuit, config, lowered = lowered_cnu()
+    topology = holey(3.0, 7, 0)
+    assert compile_key(lowered, topology, config) == compile_key(
+        circuit, topology, config)
+
+
+def test_lowered_circuit_at_another_mid_is_refused():
+    _, config, lowered = lowered_cnu(3.0)
+    topology = Topology.square(GRID_SIDE, 2.0)
+    with pytest.raises(ValueError, match="MID"):
+        compile_circuit(lowered, topology)
+    with pytest.raises(ValueError, match="MID"):
+        compile_circuit(lowered, topology, config)
+    with pytest.raises(ValueError, match="MID"):
+        cached_compile(lowered, topology, config, cache=CompileCache())
+
+
+def test_lowered_circuit_under_another_config_is_refused():
+    _, config, lowered = lowered_cnu(3.0)
+    topology = Topology.square(GRID_SIDE, 3.0)
+    other = CompilerConfig(max_interaction_distance=3.0,
+                           lookahead_decay=config.lookahead_decay + 1.0)
+    with pytest.raises(ValueError, match="another config"):
+        compile_circuit(lowered, topology, other)
+
+
+def test_compile_seconds_include_the_lowering():
+    circuit, config, lowered = lowered_cnu()
+    program = compile_circuit(lowered, holey(3.0, 5, 1), config)
+    assert program.compile_seconds >= lowered.seconds > 0
+
+
+def test_recompile_reports_at_least_the_lowering_seconds():
+    strategy = AlwaysRecompile()
+    topology = Topology.square(GRID_SIDE, 3.0)
+    strategy.begin(build_circuit("cnu", PROGRAM_SIZE), topology,
+                   CompilerConfig(max_interaction_distance=3.0))
+    victim = next(iter(strategy.current_used_sites()))
+    topology.remove_atom(victim)
+    result = strategy.on_loss(victim)
+    assert result.coped
+    assert result.recompile_seconds == strategy.program.compile_seconds
+    assert result.recompile_seconds >= strategy._lowered.seconds > 0
+
+
+def lose_a_used_atom(strategy, topology):
+    victim = next(iter(strategy.current_used_sites()))
+    topology.remove_atom(victim)
+    assert strategy.on_loss(victim).coped
+
+
+def test_recompile_keeps_its_lowering_until_begin_changes_inputs():
+    strategy = AlwaysRecompile()
+    circuit = build_circuit("cnu", PROGRAM_SIZE)
+    config = CompilerConfig(max_interaction_distance=3.0)
+    topology = Topology.square(GRID_SIDE, 3.0)
+    strategy.begin(circuit, topology, config)
+    assert strategy._lowered is None
+    lose_a_used_atom(strategy, topology)
+    lowered = strategy._lowered
+    assert lowered is not None and lowered.source is circuit
+    topology.reload()
+    strategy.after_reload()
+    lose_a_used_atom(strategy, topology)
+    assert strategy._lowered is lowered
+
+    # Same inputs on a fresh array: the lowering is still good.
+    topology = Topology.square(GRID_SIDE, 3.0)
+    strategy.begin(circuit, topology, config)
+    assert strategy._lowered is lowered
+
+    other = build_circuit("cuccaro", PROGRAM_SIZE)
+    strategy.begin(other, topology, config)
+    assert strategy._lowered is None
+    lose_a_used_atom(strategy, topology)
+    assert strategy._lowered.source is other
+
+    relaxed = CompilerConfig(max_interaction_distance=3.0,
+                             lookahead_decay=config.lookahead_decay + 1.0)
+    topology = Topology.square(GRID_SIDE, 3.0)
+    strategy.begin(other, topology, relaxed)
+    assert strategy._lowered is None
+
+
+def test_recompile_trials_lower_once_per_strategy(monkeypatch):
+    calls = []
+    real = compiler.initial_weights
+    monkeypatch.setattr(compiler, "initial_weights",
+                        lambda *args: calls.append(1) or real(*args))
+    strategy = AlwaysRecompile()
+    result = max_loss_tolerance(strategy, build_circuit("cnu", PROGRAM_SIZE),
+                                GRID_SIDE, 3.0, trials=3, rng=5)
+    assert sum(result.losses_sustained) > 10
+    # One for the pristine compile, one for the lowering every loss reuses.
+    assert len(calls) == 2

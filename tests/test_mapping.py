@@ -4,14 +4,15 @@ import pytest
 
 from repro.circuits import Circuit, CircuitDag
 from repro.circuits.gates import cx, h
-from repro.core.mapping import MappingError, initial_mapping
+from repro.core.mapping import MappingError, initial_mapping, placement_order
 from repro.core.weights import InteractionWeights, initial_weights
 from repro.hardware import Topology
 
 
 def mapping_for(circuit, topology):
     weights = initial_weights(CircuitDag(circuit))
-    return initial_mapping(circuit.num_qubits, topology, weights)
+    order = placement_order(circuit.num_qubits, weights)
+    return initial_mapping(order, topology, weights)
 
 
 class TestBasics:
@@ -89,5 +90,5 @@ class TestExplicitWeights:
         weights = InteractionWeights()
         weights.add(0, 1, 10.0)
         topo = Topology.square(4, 1.0)
-        mapping = initial_mapping(2, topo, weights)
+        mapping = initial_mapping(placement_order(2, weights), topo, weights)
         assert topo.distance(mapping[0], mapping[1]) == pytest.approx(1.0)

@@ -18,7 +18,7 @@ from repro.core import (
     max_native_arity_for_distance,
 )
 from repro.core.errors import DisconnectedTopologyError, SchedulingStalledError
-from repro.core.mapping import initial_mapping
+from repro.core.mapping import initial_mapping, placement_order
 from repro.core.result import ScheduledOp
 from repro.core.routing import propose_swap
 from repro.core.scheduler import _apply_swap, _zone_fits, _zone_of
@@ -378,11 +378,10 @@ def holey_inputs(family, size, mid, holes):
                       max_native_arity_for_distance(mid)),
     )
     dag = CircuitDag(lowered)
-    layout = initial_mapping(
-        lowered.num_qubits, topology,
-        initial_weights(dag, config.initial_mapping_layers,
-                        config.lookahead_decay),
-    )
+    weights = initial_weights(dag, config.initial_mapping_layers,
+                              config.lookahead_decay)
+    layout = initial_mapping(placement_order(lowered.num_qubits, weights),
+                             topology, weights)
     return lowered, topology, config, layout
 
 

@@ -50,6 +50,10 @@ class TestInteractionWeights:
         with pytest.raises(ValueError):
             InteractionWeights().heaviest_pair()
 
+    def test_rejects_a_qubit_paired_with_itself(self):
+        with pytest.raises(ValueError):
+            InteractionWeights().add(2, 2, 1.0)
+
 
 class TestWeightFunction:
     def test_frontier_gate_weight_one(self):
