@@ -126,7 +126,9 @@ def _best_site(
         score = 0.0
         for partner_site, weight in mapped_partners:
             score += row[partner_site] * weight
-            if score >= best_score:
+            # Only a partial sum already above the best is conclusive: one
+            # that ties may still grow, and a tie wins on the lower site.
+            if score > best_score:
                 break
         if score < best_score or (score == best_score and (
             best_site is None or site < best_site

@@ -35,7 +35,7 @@ from repro.hardware.topology import Topology
 
 #: Bump to invalidate every persisted cache entry (schema or compiler
 #: semantics change).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- fingerprints ------------------------------------------------------------------

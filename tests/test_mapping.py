@@ -6,7 +6,7 @@ from repro.circuits import Circuit, CircuitDag
 from repro.circuits.gates import cx, h
 from repro.core.mapping import MappingError, initial_mapping, placement_order
 from repro.core.weights import InteractionWeights, initial_weights
-from repro.hardware import Topology
+from repro.hardware import Grid, Topology
 
 
 def mapping_for(circuit, topology):
@@ -92,3 +92,23 @@ class TestExplicitWeights:
         topo = Topology.square(4, 1.0)
         mapping = initial_mapping(placement_order(2, weights), topo, weights)
         assert topo.distance(mapping[0], mapping[1]) == pytest.approx(1.0)
+
+
+class TestBestSite:
+    def test_partial_sum_tie_does_not_win(self):
+        # 1x10 grid at MID 1 with atoms only at sites 2, 6, 7 and 9.  The
+        # pair (1, 2) takes sites 6 and 7; qubit 0 (partners 2 then 1,
+        # weight 1 each) scores 2 + 3 = 5 at site 9 and 5 + 4 = 9 at site
+        # 2.  Site 2's first partial sum already ties site 9's full score;
+        # that must not let it win the lower-site tie-break.
+        topo = Topology(Grid(1, 10), 1.0,
+                        lost_sites=set(range(10)) - {2, 6, 7, 9})
+        weights = InteractionWeights()
+        weights.add(0, 2, 1.0)
+        weights.add(0, 1, 1.0)
+        weights.add(1, 2, 10.0)
+        order = placement_order(3, weights)
+        assert order == [1, 2, 0]
+        mapping = initial_mapping(order, topo, weights)
+        assert (mapping[1], mapping[2]) == (6, 7)
+        assert mapping[0] == 9
