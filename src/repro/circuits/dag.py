@@ -104,9 +104,6 @@ class Frontier:
         """Indices of gates whose dependencies are all satisfied."""
         return self._ready
 
-    def is_done(self, idx: int) -> bool:
-        return self._done[idx]
-
     def all_done(self) -> bool:
         return self.num_done == len(self.dag)
 

@@ -140,10 +140,6 @@ class Grid:
 
     # -- interaction neighborhoods ---------------------------------------------
 
-    def neighbor_offsets(self, max_distance: float) -> Tuple[Position, ...]:
-        """All nonzero ``(dr, dc)`` with Euclidean norm <= ``max_distance``."""
-        return _offsets_within(round(max_distance * 1e9))
-
     def neighbors(self, site: int, max_distance: float) -> List[int]:
         """Sites within interaction range of ``site`` (excluding itself)."""
         return list(self.neighbor_table(max_distance)[site])

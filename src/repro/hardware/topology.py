@@ -148,15 +148,6 @@ class Topology:
         lost = self._lost
         return [s for s in table[site] if s not in lost]
 
-    def sorted_neighbors(self, site: int) -> List[int]:
-        """Active neighbors of ``site`` in ascending site order (the order
-        deterministic BFS walks consume)."""
-        table = self.grid.sorted_neighbor_table(self.max_interaction_distance)
-        if not self._lost:
-            return list(table[site])
-        lost = self._lost
-        return [s for s in table[site] if s not in lost]
-
     # -- graph queries ------------------------------------------------------------
 
     def is_connected(self) -> bool:

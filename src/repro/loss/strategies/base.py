@@ -177,10 +177,5 @@ class CopingStrategy(ABC):
     def _reset_adaptation(self) -> None:
         """Clear any adaptation state (virtual maps, fixups)."""
 
-    # -- conveniences for subclasses ----------------------------------------------------------
-
-    def _is_interfering(self, site: int, occupied_sites) -> bool:
-        return site in occupied_sites
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

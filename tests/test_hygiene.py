@@ -1,18 +1,30 @@
 """Source hygiene checks over ``src/repro``, on the standard library only.
 
-No linter ships with the project, so the one lint rule the tree keeps —
-no unused module-level import — is checked here with ``ast``.  An
-import counts as used when its bound name appears anywhere in the
-module as a name (string annotations included) or in ``__all__``.
-Package ``__init__.py`` files (re-exports), ``from __future__`` and
-statements marked ``# noqa: F401`` are exempt.  A second check keeps
-every HTTP request of the serve-protocol clients in one function.
+No linter ships with the project, so the lint rules the tree keeps are
+checked here with ``ast``:
+
+* no unused module-level import.  An import counts as used when its
+  bound name appears anywhere in the module as a name (string
+  annotations included) or in ``__all__``.  Package ``__init__.py``
+  files (re-exports), ``from __future__`` and statements marked
+  ``# noqa: F401`` are exempt.
+* no code without a caller: every ``def`` and ``class`` under
+  ``src/repro`` is named somewhere besides its own definition, in the
+  sources, tests, benchmarks or examples.  Dunders are exempt.
+
+A third check keeps every HTTP request of the serve-protocol clients in
+one function.
 """
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+#: Where a name in ``src/repro`` may be used.
+CALLER_ROOTS = ("src", "tests", "perfbench", "benchmarks", "examples")
 
 
 def _module_imports(tree):
@@ -113,6 +125,66 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def uncalled_definitions(package, roots):
+    """``(path, line, name)`` of each ``def``/``class`` under ``package``
+    whose name appears in no ``.py`` file under ``roots`` except at its
+    own definitions.  A name counts wherever it occurs as a word —
+    code, strings (``getattr``, probes) and comments alike."""
+    words = Counter()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defined = Counter()
+    first = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            defined[name] += 1
+            first.setdefault(name, (path, node.lineno))
+    return sorted((*first[name], name) for name, count in defined.items()
+                  if words[name] <= count)
+
+
+def test_scanner_flags_only_definitions_without_callers(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Used:\n"
+        "    def __init__(self):\n"
+        "        self.x = helper()\n"
+        "    def orphan_method(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    return getattr(Used, 'looked_up')\n"
+        "def looked_up():\n"
+        "    pass\n"
+        "def tested():\n"
+        "    pass\n"
+        "class Orphan:\n"
+        "    pass\n",
+        encoding="utf-8")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from pkg.mod import Used, tested\n", encoding="utf-8")
+    found = uncalled_definitions(package, [tmp_path / "src", tests])
+    assert [(line, name) for _, line, name in found] == [
+        (4, "orphan_method"), (12, "Orphan")]
+
+
+def test_every_definition_has_a_caller():
+    found = uncalled_definitions(SRC, [REPO / root for root in CALLER_ROOTS])
+    assert not found, "definitions nothing uses:\n" + "\n".join(
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for path, line, name in found)
 
 
 def test_one_transport_for_every_client():
