@@ -118,26 +118,22 @@ def stage_config(
 
     The topology's ``max_interaction_distance`` takes precedence over the
     config's.  A :class:`LoweredCircuit` brings its own config
-    (``config`` may be omitted); it raises :class:`ValueError` when it
-    was lowered for another MID than the topology's — the lowering arity
-    depends on the MID — or under another config than ``config``.
+    (``config`` may be omitted) and raises :class:`ValueError` unless the
+    compile runs under exactly that config — the lowering arity depends
+    on the MID.
     """
+    lowered = circuit if isinstance(circuit, LoweredCircuit) else None
+    if config is None:
+        config = lowered.config if lowered is not None else CompilerConfig()
     mid = topology.max_interaction_distance
-    if isinstance(circuit, LoweredCircuit):
-        if abs(circuit.config.max_interaction_distance - mid) > 1e-9:
-            raise ValueError(
-                f"circuit was lowered for MID "
-                f"{circuit.config.max_interaction_distance}, but the "
-                f"topology's MID is {mid}"
-            )
-        if config is None:
-            return circuit.config
-    elif config is None:
-        config = CompilerConfig()
     if abs(config.max_interaction_distance - mid) > 1e-9:
         config = config.with_mid(mid)
-    if isinstance(circuit, LoweredCircuit) and config != circuit.config:
-        raise ValueError("circuit was lowered under another config")
+    if lowered is not None and config != lowered.config:
+        raise ValueError(
+            f"circuit was lowered under another config (MID "
+            f"{lowered.config.max_interaction_distance}) than this "
+            f"compile's (MID {mid})"
+        )
     return config
 
 
@@ -161,10 +157,8 @@ def compile_circuit(
     the cost of a whole compile.
     """
     config = stage_config(circuit, topology, config)
-    if isinstance(circuit, LoweredCircuit):
-        lowered = circuit
-    else:
-        lowered = lower_circuit(circuit, config)
+    lowered = (circuit if isinstance(circuit, LoweredCircuit)
+               else lower_circuit(circuit, config))
 
     start = time.perf_counter()
     if lowered.circuit.num_qubits > topology.num_active:
