@@ -130,17 +130,18 @@ class WorkerClient:
 class FleetWorker:
     """One pull loop: claim → execute under a fresh session → complete.
 
-    ``session_factory`` builds one read-through session per job (the
-    worker-side analogue of the job queue's factory); ``claim_delay``
-    sleeps after each successful claim before executing — a
-    fault-injection aid so fleet drills can kill a worker that holds a
-    lease but has not finished (``tests/test_drills.py`` does exactly
+    ``server`` is a base URL or a client with :class:`WorkerClient`'s
+    methods (whose id the worker takes), e.g. the job queue's in-process
+    ``LocalClient``.  ``session_factory`` builds one session per job;
+    ``claim_delay`` sleeps after each successful claim before executing
+    — a fault-injection aid so fleet drills can kill a worker that holds
+    a lease but has not finished (``tests/test_drills.py`` does exactly
     this).
     """
 
     def __init__(
         self,
-        base_url: str,
+        server: Any,
         session_factory: Callable[[], Any],
         worker_id: Optional[str] = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
@@ -148,8 +149,9 @@ class FleetWorker:
         quiet: bool = True,
         stop_event: Optional[threading.Event] = None,
     ):
-        self.worker_id = worker_id or default_worker_id()
-        self.client = WorkerClient(base_url, self.worker_id)
+        self.client = (WorkerClient(server, worker_id or default_worker_id())
+                       if isinstance(server, str) else server)
+        self.worker_id = self.client.worker_id
         self._session_factory = session_factory
         self.poll_interval = max(0.05, float(poll_interval))
         self.claim_delay = max(0.0, float(claim_delay))

@@ -10,7 +10,7 @@ persists back into the store so replays are free.
 Layering (each importable and testable on its own):
 
 * :mod:`repro.serve.metrics` — thread-safe counters behind ``/metrics``;
-* :mod:`repro.serve.jobs` — the job queue: worker threads, lifecycle,
+* :mod:`repro.serve.jobs` — the job queue: leased claims, lifecycle,
   dedup, per-job :class:`~repro.api.Session` isolation;
 * :mod:`repro.serve.sweeps` — server-side sweep tracking: a
   ``POST /sweeps`` expands a :class:`~repro.api.sweep.SweepSpec` into
@@ -25,11 +25,10 @@ The matching client is :class:`repro.api.client.RemoteSession`, whose
 ``run()`` proxies to a server — a backend really is just a Session
 policy.
 
-The queue also speaks the :mod:`repro.fleet` pull protocol
-(``/fleet/claim``, ``/fleet/heartbeat``, ``/fleet/complete``): remote
-workers claim queued jobs under heartbeat-renewed leases, and a lease
-that expires is reaped and the job requeued — run the server with zero
-local workers (``--jobs 0``) for a fleet-only deployment.
+Every job is claimed under a heartbeat-renewed :mod:`repro.fleet`
+lease, by one of ``--jobs N`` in-process loops or by a remote worker
+over ``/fleet/*``; an expired lease is reaped and the job requeued.
+``--jobs 0`` makes a fleet-only deployment.
 """
 
 from repro.serve.app import Response, ServeApp

@@ -7,15 +7,15 @@ the same contract as the CLI).  ``build_server`` wires the full stack:
 
     store + compile cache
         -> per-job Session factory (read-through, shared cache/store)
-        -> JobQueue (N worker threads, in-flight dedup)
+        -> JobQueue (N in-process claim loops, in-flight dedup)
         -> ServeApp (routing + metrics)
         -> ReproHTTPServer
 
 Thread model: the HTTP server spawns one thread per connection (cheap:
 handlers only route, queue, and read the store), while experiment
-execution is bounded by the job queue's worker count.  A ``wait=true``
+execution is bounded by the job queue's claim loops.  A ``wait=true``
 run request parks its connection thread on the job's completion event
-without occupying a queue worker.
+without occupying a claim loop.
 """
 
 from __future__ import annotations
@@ -146,12 +146,12 @@ def build_server(
     store (uploaded workloads; defaults to ``<store_dir>/circuits``);
     each job gets its own read-through :class:`Session` (sweeps run
     inline, ``jobs=1`` — concurrency comes from the queue's ``workers``
-    threads, not from nested process pools), wired to the shared circuit
-    store so jobs resolve ``circuit:<digest>`` workloads against exactly
-    what was uploaded.  ``workers=0`` starts no local execution threads
-    at all: every job waits for a fleet worker (``python -m repro
-    worker``) to claim it over the ``/fleet/*`` routes, under a lease of
-    ``lease_ttl`` seconds.  ``trace_dir`` enables end-to-end tracing
+    claim loops, not from nested process pools), wired to the shared
+    circuit store so jobs resolve ``circuit:<digest>`` workloads against
+    exactly what was uploaded.  Every job runs under a lease of
+    ``lease_ttl`` seconds, held by a local loop or by a fleet worker
+    (``python -m repro worker``); ``workers=0`` starts no local loops.
+    ``trace_dir`` enables end-to-end tracing
     (see :mod:`repro.obs`): spans from request handling, the queue,
     executing sessions, and remote exporters land in an append-only
     JSONL store there, browsable via ``GET /trace/<id>``; ``None``

@@ -1,15 +1,14 @@
 """Background execution: the serving layer's job queue.
 
 A ``POST /run`` that misses the result store does not compute inline in
-the request handler — it becomes a :class:`Job` on a :class:`JobQueue`,
-executed by one of N worker threads **or pulled by a fleet worker over
-HTTP** (:mod:`repro.fleet`): remote workers :meth:`~JobQueue.claim` the
-next queued job under a lease, renew it with
-:meth:`~JobQueue.heartbeat`, and report the outcome with
-:meth:`~JobQueue.complete`; a lease that expires (the worker died or
-partitioned) is reaped and the job goes back on the queue for the next
-claimant — local thread or remote worker alike.  ``workers=0`` runs the
-queue in fleet-only mode.  Three properties matter:
+the request handler — it becomes a :class:`Job` on a :class:`JobQueue`.
+Every job runs the same way: a :class:`repro.fleet.FleetWorker` loop
+claims it under a lease (:meth:`~JobQueue.claim`), renews it with
+:meth:`~JobQueue.heartbeat`, and reports the outcome with
+:meth:`~JobQueue.complete`; a lease that expires (the holder died or
+partitioned) is reaped and the job requeued.  ``workers=N`` loops run
+in-process on a :class:`LocalClient`, remote ones over HTTP
+(``workers=0`` is fleet-only mode).  Three properties matter:
 
 * **In-flight deduplication.**  Concurrent requests for the same store
   key coalesce onto one job (``submit`` returns the existing in-flight
@@ -24,12 +23,12 @@ queue in fleet-only mode.  Three properties matter:
   sharing the server's compile cache and result store objects but
   nothing else — so ``Session.tasks_executed`` attributes work to the
   job that did it, and two jobs activating their sessions in different
-  worker threads never see each other's policy (``contextvars`` scoping
+  claim loops never see each other's policy (``contextvars`` scoping
   is per-thread).
 
 * **Observability.**  A job carries its full lifecycle (``queued`` →
-  ``running`` → ``done``/``failed``), wall time, task count, and — on
-  success — the result envelope, which ``GET /jobs/<id>`` exposes.
+  ``running`` → ``done``/``failed``), wall time, task count, holder, and
+  — on success — the result envelope, which ``GET /jobs/<id>`` exposes.
 
 ``force=True`` jobs opt out of deduplication in both directions: they
 exist to recompute, so neither attaching them to an in-flight job nor
@@ -39,16 +38,17 @@ requester did not force) would be correct.
 
 from __future__ import annotations
 
-import queue
+import collections
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.api.results import ExperimentResult
 from repro.fleet.leases import LeaseLost, LeaseTable
-from repro.fleet.protocol import DEFAULT_LEASE_TTL
+from repro.fleet.protocol import DEFAULT_LEASE_TTL, describe_claim
+from repro.fleet.worker import FleetWorker, default_worker_id
 from repro.obs import trace as _obs
 from repro.serve.metrics import ServeMetrics
 
@@ -74,15 +74,15 @@ class Job:
     #: The job session's dispatch counter after the run — zero when the
     #: read-through session replayed a stored envelope.
     tasks_executed: Optional[int] = None
-    #: The fleet worker currently holding (or last to hold) this job;
-    #: ``None`` for local thread execution.
+    #: The claim loop currently holding (or last to hold) this job;
+    #: ``None`` until the first claim.
     worker: Optional[str] = None
     #: Times this job was handed to an executor (> 1 after a reclaim).
     attempts: int = 0
     #: Trace context ``(trace_id, parent_span_id)`` captured at
-    #: submission time — ContextVars do not cross the worker-thread
-    #: boundary, so the job carries its trace explicitly (and fleet
-    #: claim payloads forward it to remote workers).
+    #: submission time — ContextVars do not cross the claim-loop
+    #: boundary, so the job carries its trace explicitly and claim
+    #: payloads forward it to the holder.
     trace: Optional[Tuple[str, Optional[str]]] = None
     created_at: float = field(default_factory=time.time)
     #: Enqueue stamps (wall for span display, monotonic for the
@@ -132,12 +132,13 @@ class Job:
 
 
 class JobQueue:
-    """N worker threads draining a FIFO of :class:`Job` instances.
+    """A FIFO of :class:`Job` instances drained by leased claims.
 
-    ``session_factory`` builds one fresh read-through
-    :class:`repro.api.Session` per job; sharing the underlying
-    ``CompileCache``/``ResultStore`` objects between those sessions is
-    the factory's (deliberate) choice, not the queue's concern.
+    ``workers`` in-process :class:`FleetWorker` loops claim through a
+    :class:`LocalClient`; ``session_factory`` builds their one fresh
+    read-through :class:`repro.api.Session` per job.  Sharing the
+    underlying ``CompileCache``/``ResultStore`` objects between those
+    sessions is the factory's (deliberate) choice, not the queue's.
     """
 
     def __init__(self, session_factory: Callable[[], Any], workers: int = 2,
@@ -150,37 +151,45 @@ class JobQueue:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if max_finished < 1:
             raise ValueError(f"max_finished must be >= 1, got {max_finished}")
-        self._session_factory = session_factory
         #: Terminal jobs retained for GET /jobs/<id>; beyond this the
         #: oldest are forgotten, bounding a long-lived server's memory.
         self._max_finished = max_finished
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        #: ResultStore that fleet completions persist envelopes into
-        #: (local thread jobs persist through their read-through
-        #: sessions instead); ``None`` keeps results in-memory only.
+        #: ResultStore that completions persist envelopes into (unless
+        #: the holder's read-through session already stored those
+        #: bytes); ``None`` keeps results in-memory only.
         self._store = store
-        #: Tracer the queue records spans through (queue wait, job
-        #: execution, lease lifetime); ``None`` records nothing.
+        #: Tracer the queue records spans through (queue wait, lease
+        #: lifetime, spans holders export); ``None`` records nothing.
         self.tracer = tracer
-        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.Lock()
+        #: Signalled when a job becomes pending or claims close.
+        self._ready = threading.Condition(self._lock)
+        #: Jobs awaiting a claim, oldest first; claim skips stale ones.
+        self._pending: Deque[Job] = collections.deque()
         self._jobs: Dict[str, Job] = {}
         #: store key -> the queued/running (non-force) job computing it.
         self._inflight: Dict[str, Job] = {}
-        #: Remote claims, bounded by lease expiry (see repro.fleet).
+        #: Every claim, bounded by lease expiry (see repro.fleet).
         self.leases = LeaseTable(ttl=lease_ttl)
-        #: worker id -> counters; every fleet worker ever seen.
+        #: worker id -> counters; every claim loop ever seen.
         self._fleet_workers: Dict[str, Dict[str, Any]] = {}
         self._reaper: Optional[threading.Thread] = None
         self._reaper_stop = threading.Event()
         self._shutdown = False
+        #: Set once claims close; it is also the local loops' stop event.
+        self._claims_closed = threading.Event()
         #: workers == 0 is fleet-only mode: jobs wait for remote claims.
-        self._threads = [
-            threading.Thread(target=self._worker, daemon=True,
-                             name=f"repro-serve-job-{index}")
-            for index in range(workers)
-        ]
-        for thread in self._threads:
+        self._loops = []
+        for index in range(workers):
+            client = LocalClient(self, f"{default_worker_id()}-local-{index}")
+            self._fleet_stats_locked(client.worker_id)  # listed at once
+            worker = FleetWorker(client, session_factory,
+                                 stop_event=self._claims_closed)
+            self._loops.append(threading.Thread(
+                target=worker.run, daemon=True,
+                name=f"repro-serve-job-{index}"))
+        for thread in self._loops:
             thread.start()
 
     # -- submission / lookup -----------------------------------------------------
@@ -213,10 +222,8 @@ class JobQueue:
             if not force:
                 self._inflight[key] = job
             self.metrics.count("jobs_submitted")
-            # Enqueue under the lock: a put racing shutdown() could
-            # otherwise land behind the worker sentinels and leave the
-            # job QUEUED forever (hanging every wait() on it).
-            self._queue.put(job)
+            self._pending.append(job)
+            self._ready.notify()
         return job, False
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -231,7 +238,7 @@ class JobQueue:
                 by_status[job.status] = by_status.get(job.status, 0) + 1
             in_flight = len(self._inflight)
         return {
-            "workers": len(self._threads),
+            "workers": len(self._loops),
             "in_flight": in_flight,
             "by_status": dict(sorted(by_status.items())),
         }
@@ -251,13 +258,6 @@ class JobQueue:
 
     # -- execution ---------------------------------------------------------------
 
-    def _worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            self._run_job(job)
-
     def _observe_queue_wait(self, job: Job) -> None:
         """Record how long ``job`` sat queued before an executor took it.
 
@@ -273,49 +273,8 @@ class JobQueue:
         else:
             self.metrics.observe("queue_wait_seconds", wait)
 
-    def _run_job(self, job: Job) -> None:
-        job.status = RUNNING
-        job.attempts += 1
-        self._observe_queue_wait(job)
-
-        def execute() -> str:
-            start = time.perf_counter()
-            session = None
-            outcome = FAILED
-            try:
-                # Inside the try: a raising session factory must fail
-                # the job, not kill the worker and wedge the in-flight
-                # key.
-                session = self._session_factory()
-                result = session.run(job.experiment, quick=job.quick,
-                                     force=job.force, **job.params)
-                job.envelope = result.to_dict()
-                outcome = DONE
-            except BaseException as error:
-                # A failed job must never kill a worker.
-                job.error = f"{type(error).__name__}: {error}"
-            finally:
-                job.wall_s = time.perf_counter() - start
-                job.tasks_executed = getattr(session, "tasks_executed",
-                                             None)
-            return outcome
-
-        if self.tracer is not None and job.trace is not None:
-            # Worker threads never inherit the submitting request's
-            # ContextVars — re-activate the job's trace explicitly.
-            # The span closes before _finalize wakes waiters, so a
-            # client that saw the job finish can read its whole trace.
-            with _obs.activate(self.tracer, job.trace[0], job.trace[1]):
-                with _obs.span("job.execute", job_id=job.id,
-                               experiment=job.experiment) as handle:
-                    outcome = execute()
-                    handle.set(status=outcome)
-        else:
-            outcome = execute()
-        self._finalize(job, outcome)
-
     def _finalize(self, job: Job, outcome: str) -> None:
-        """Shared terminal transition for local and fleet execution."""
+        """The terminal transition: wake waiters and subscribers."""
         if job.wall_s is not None:
             self.metrics.observe("cell_duration_seconds", job.wall_s)
         # The terminal status flips last: a poller that observes
@@ -352,32 +311,32 @@ class JobQueue:
                 return
         callback(job)
 
-    # -- fleet (remote pull) dispatch --------------------------------------------
+    # -- leased claims -----------------------------------------------------------
 
-    def claim(self, worker_id: str) -> Optional[Job]:
-        """Hand the next queued job to a fleet worker, under a lease.
+    def claim(self, worker_id: str, block: bool = False) -> Optional[Job]:
+        """Hand the oldest pending job to ``worker_id``, under a lease.
 
-        Expired leases are reaped first, so a dead worker's job is
-        immediately claimable by the survivor doing the asking.  Returns
-        ``None`` when nothing is queued (or the queue is shut down).
+        Expired leases are reaped first, so a dead holder's job is
+        immediately claimable by the survivor doing the asking.  ``None``
+        when nothing is pending — with ``block``, only once claims close.
         """
         self.reap_expired()
         with self._lock:
-            if self._shutdown:
-                return None
-            job = None
-            while job is None:
-                try:
-                    candidate = self._queue.get_nowait()
-                except queue.Empty:
+            while True:
+                if self._claims_closed.is_set():
                     return None
-                if candidate is None:
-                    # A local-thread shutdown sentinel (unreachable
-                    # before shutdown, but never swallow one).
-                    self._queue.put(None)
+                if self._pending:
+                    job = self._pending.popleft()
+                    if job.status == QUEUED:
+                        break
+                elif self._shutdown:
+                    # Drained after shutdown: every accepted job is out.
+                    self._claims_closed.set()
+                    self._ready.notify_all()
+                elif block:
+                    self._ready.wait()
+                else:
                     return None
-                if candidate.status == QUEUED:
-                    job = candidate
             job.status = RUNNING
             job.worker = worker_id
             job.attempts += 1
@@ -403,9 +362,8 @@ class JobQueue:
                 raise KeyError(f"unknown job {job_id!r}")
             stats = self._fleet_stats_locked(worker_id)
             stats["last_seen"] = time.time()
-        remaining = self.leases.heartbeat(job_id, worker_id)
-        with self._lock:
-            self._fleet_stats_locked(worker_id)["heartbeats"] += 1
+            remaining = self.leases.heartbeat(job_id, worker_id)
+            stats["heartbeats"] += 1
         self.metrics.count("fleet_heartbeats")
         return remaining
 
@@ -414,9 +372,9 @@ class JobQueue:
                  error: Optional[str] = None,
                  wall_s: Optional[float] = None,
                  tasks_executed: Optional[int] = None) -> Job:
-        """Accept a fleet worker's outcome for its leased job.
+        """Accept a holder's outcome for its leased job.
 
-        The lease must still be held: a worker that went dark long
+        The lease must still be held: a holder that went dark long
         enough to be reclaimed gets :class:`LeaseLost` (HTTP 409) and
         its result is discarded — whoever holds the lease now completes
         the job exactly once.  A successful envelope is persisted into
@@ -444,8 +402,8 @@ class JobQueue:
         if envelope is not None:
             job.envelope = envelope
             # Persist through the server's store handle — unless the
-            # worker's read-through session already landed these exact
-            # bytes there (shared filesystem), in which case a second
+            # holder's read-through session already landed these exact
+            # bytes there (a local loop, or a shared filesystem): a second
             # put and a second ledger line would only duplicate its
             # record.
             if (self._store is not None
@@ -498,7 +456,8 @@ class JobQueue:
                 job.worker = None
                 job._queued_wall = time.time()
                 job._queued_perf = time.perf_counter()
-                self._queue.put(job)
+                self._pending.append(job)
+                self._ready.notify()
                 reclaimed += 1
                 stats = self._fleet_stats_locked(lease.worker)
                 stats["leases_lost"] += 1
@@ -515,10 +474,9 @@ class JobQueue:
         return stats
 
     def _ensure_reaper_locked(self) -> None:
-        """Start the dead-worker reaper on first fleet activity.
+        """Start the dead-holder reaper on the first claim.
 
-        Lazy so a purely local queue keeps its historical thread count;
-        once any worker claims, expiry must be detected even if no
+        Once any lease is out, expiry must be detected even if no
         further requests ever arrive (a waiting ``POST /run`` client
         must not hang on a lease nobody will reap).
         """
@@ -543,21 +501,60 @@ class JobQueue:
     # -- shutdown ----------------------------------------------------------------
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs and (optionally) drain the workers.
+        """Stop accepting jobs and (optionally) join the claim loops.
 
         Already-queued jobs still run — a client holding a job id must
-        eventually observe a terminal state, even across shutdown.
+        eventually observe a terminal state, even across shutdown — so
+        with local loops claims stay open until they drain the FIFO.
         """
         with self._lock:
             if self._shutdown:
                 return
             self._shutdown = True
+            if not self._loops:
+                self._claims_closed.set()
+            self._ready.notify_all()  # idle loops close claims once drained
             reaper = self._reaper
         self._reaper_stop.set()
-        for _ in self._threads:
-            self._queue.put(None)
         if wait:
-            for thread in self._threads:
+            for thread in self._loops:
                 thread.join()
             if reaper is not None:
                 reaper.join(timeout=5)
+
+
+class LocalClient:
+    """:class:`~repro.fleet.worker.WorkerClient`'s five methods, answered
+    by a :class:`JobQueue` in this process instead of over HTTP."""
+
+    def __init__(self, jobs: JobQueue, worker_id: str):
+        self.jobs = jobs
+        self.worker_id = worker_id
+
+    def claim(self) -> Optional[Dict[str, Any]]:
+        """Wait for a pending job; ``None`` once claims close."""
+        job = self.jobs.claim(self.worker_id, block=True)
+        return job and describe_claim(job, self.jobs.leases.ttl)
+
+    def fetch_circuit(self, digest: str) -> str:
+        # Submit refuses unknown digests, and sessions share the store.
+        raise RuntimeError(f"circuit {digest[:16]}… is not on this server")
+
+    def heartbeat(self, job_id: str) -> float:
+        return self.jobs.heartbeat(self.worker_id, job_id)
+
+    def export_spans(self, spans: list) -> None:
+        """Ingest into the queue tracer's store, as ``POST /trace``
+        does, so compile spans still feed the latency histograms."""
+        store = getattr(self.jobs.tracer, "sink", None)
+        if not hasattr(store, "ingest"):
+            raise RuntimeError("tracing is not enabled on this server")
+        store.ingest(spans, observer=self.jobs.metrics.observe_span)
+
+    def complete(self, job_id: str, **outcome) -> None:
+        """Raises as ``WorkerClient`` does for the same server answer:
+        :class:`LeaseLost`, or ``RuntimeError`` for a 400/404 refusal."""
+        try:
+            self.jobs.complete(self.worker_id, job_id, **outcome)
+        except (KeyError, ValueError) as refusal:
+            raise RuntimeError(f"complete refused: {refusal}") from None

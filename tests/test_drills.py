@@ -84,6 +84,12 @@ def test_serve_miss_then_hit_equal_cli_bytes(serve_process, tmp_path,
     metrics = get_json(base + "/metrics")
     assert metrics["store"]["hits"] == 1, metrics["store"]
     assert metrics["jobs"]["completed"] == 1, metrics["jobs"]
+    # The local loops hold leases like fleet workers: one claim, one
+    # completion, nothing reclaimed.
+    fleet = metrics["fleet"]
+    assert (fleet["claims"] == fleet["completions"]
+            == metrics["jobs"]["completed"] == 1), fleet
+    assert fleet["leases_reclaimed"] == 0, fleet
     serve_process.stop()
 
 

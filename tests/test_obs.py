@@ -875,8 +875,9 @@ class TestServeAppTracing:
             assert payload["trace"] == trace_id
             assert payload["count"] == len(payload["spans"])
             names = set(_names(payload["spans"]))
-            assert {"server.request", "queue.wait", "job.execute",
-                    "session.run", "tasks", "compile"} <= names
+            assert {"server.request", "queue.wait", "lease",
+                    "worker.execute", "session.run", "tasks",
+                    "compile"} <= names
         finally:
             app.jobs.shutdown()
 

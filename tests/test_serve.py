@@ -10,6 +10,7 @@ deduplication plus read-through sessions).
 
 import dataclasses
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -21,6 +22,7 @@ from repro.__main__ import main
 from repro.api import Session, all_experiments, store_key
 from repro.api.session import install_default
 from repro.serve.jobs import DONE, FAILED, JobQueue
+from test_fleet import envelope
 
 
 @pytest.fixture(autouse=True)
@@ -302,7 +304,7 @@ class TestJobQueueUnit:
             if not self.gate.wait(timeout=10):  # pragma: no cover
                 raise TimeoutError("gate never opened")
             result = type("FakeResult", (), {})()
-            result.to_dict = lambda: {"experiment": experiment}
+            result.to_dict = envelope
             return result
 
     def _queue(self, log, gate, workers=2):
@@ -313,10 +315,10 @@ class TestJobQueueUnit:
         log, gate = [], threading.Event()
         queue = self._queue(log, gate)
         try:
-            first, coalesced_a = queue.submit("x", "k1", False, {})
+            first, coalesced_a = queue.submit("validation", "k1", False, {})
             while first.status == "queued":
                 time.sleep(0.01)  # wait until a worker holds the job
-            second, coalesced_b = queue.submit("x", "k1", False, {})
+            second, coalesced_b = queue.submit("validation", "k1", False, {})
             assert (coalesced_a, coalesced_b) == (False, True)
             assert second is first
             gate.set()
@@ -333,8 +335,8 @@ class TestJobQueueUnit:
         gate.set()
         queue = self._queue(log, gate)
         try:
-            first, _ = queue.submit("x", "k1", False, {})
-            forced, coalesced = queue.submit("x", "k1", False, {},
+            first, _ = queue.submit("validation", "k1", False, {})
+            forced, coalesced = queue.submit("validation", "k1", False, {},
                                              force=True)
             assert coalesced is False
             assert forced is not first
@@ -347,7 +349,7 @@ class TestJobQueueUnit:
         gate.set()
         queue = self._queue(log, gate)
         try:
-            jobs = [queue.submit("x", f"k{i}", False, {})[0]
+            jobs = [queue.submit("validation", f"k{i}", False, {})[0]
                     for i in range(4)]
             for job in jobs:
                 assert job.wait(timeout=10)
@@ -359,12 +361,12 @@ class TestJobQueueUnit:
     def test_shutdown_rejects_new_jobs_but_finishes_queued_ones(self):
         log, gate = [], threading.Event()
         queue = self._queue(log, gate, workers=1)
-        job, _ = queue.submit("x", "k1", False, {})
+        job, _ = queue.submit("validation", "k1", False, {})
         gate.set()
         queue.shutdown(wait=True)
         assert job.status == DONE
         with pytest.raises(RuntimeError):
-            queue.submit("x", "k2", False, {})
+            queue.submit("validation", "k2", False, {})
 
     def test_worker_count_validated(self):
         # workers=0 is legal (fleet-only dispatch); negatives are not.
@@ -384,15 +386,94 @@ class TestJobQueueUnit:
 
         queue = JobQueue(factory, workers=1)
         try:
-            doomed, _ = queue.submit("x", "k1", False, {})
+            doomed, _ = queue.submit("validation", "k1", False, {})
             assert doomed.wait(timeout=10)
             assert doomed.status == FAILED
             assert "factory exploded" in doomed.error
             # The worker survived and the key is no longer in flight.
-            healthy, coalesced = queue.submit("x", "k1", False, {})
+            healthy, coalesced = queue.submit("validation", "k1", False, {})
             assert coalesced is False
             assert healthy.wait(timeout=10)
             assert healthy.status == DONE
+        finally:
+            queue.shutdown()
+
+    def test_local_job_that_outlives_its_lease_runs_once(self):
+        """The in-process loops heartbeat like fleet workers: a job held
+        five lease lifetimes is never reaped and re-run."""
+        sessions, gate = [], threading.Event()
+
+        def factory():
+            sessions.append(self.FakeSession([], gate))
+            return sessions[-1]
+
+        queue = JobQueue(factory, workers=1, lease_ttl=0.3)
+        try:
+            job, _ = queue.submit("validation", "k1", False, {})
+            time.sleep(1.5)
+            gate.set()
+            assert job.wait(timeout=10)
+            assert job.status == DONE
+            assert job.attempts == 1
+            assert len(sessions) == 1
+            assert queue.metrics.snapshot()["fleet"]["leases_reclaimed"] == 0
+        finally:
+            gate.set()
+            queue.shutdown()
+
+    def test_local_loops_and_remote_claims_share_one_fifo(self):
+        """Stress: four blocking loops and a non-blocking remote claimer
+        drain one FIFO under a short switch interval; every job is
+        claimed exactly once."""
+        log, gate = [], threading.Event()
+        gate.set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        queue = self._queue(log, gate, workers=4)
+        remote = []
+        try:
+            jobs = [queue.submit("validation", f"k{i}", False, {})[0]
+                    for i in range(40)]
+            deadline = time.time() + 20
+            while (time.time() < deadline
+                   and any(job.status == "queued" for job in jobs)):
+                claimed = queue.claim("remote")
+                if claimed is not None:
+                    remote.append(claimed)
+                    queue.complete("remote", claimed.id,
+                                   envelope=envelope())
+            for job in jobs:
+                assert job.wait(timeout=10)
+            assert all(job.status == DONE for job in jobs)
+            assert all(job.attempts == 1 for job in jobs)
+            assert len(log) + len(remote) == len(jobs)
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown()
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_keyboard_interrupt_ends_the_loop_and_the_job_reruns(self):
+        """The fleet rule holds locally: a BaseException ends its claim
+        loop, the unreleased lease expires, and another loop re-runs the
+        job."""
+        gate = threading.Event()
+        gate.set()
+        built = []
+
+        def factory():
+            built.append(1)
+            if len(built) == 1:
+                raise KeyboardInterrupt
+            return self.FakeSession([], gate)
+
+        queue = JobQueue(factory, workers=2, lease_ttl=0.3)
+        try:
+            job, _ = queue.submit("validation", "k1", False, {})
+            assert job.wait(timeout=10)
+            assert job.status == DONE
+            assert job.attempts == 2
+            assert queue.metrics.snapshot()["fleet"]["leases_reclaimed"] == 1
         finally:
             queue.shutdown()
 
