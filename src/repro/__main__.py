@@ -97,6 +97,7 @@ status 130 after cleaning up (no orphaned cache temp files).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -406,6 +407,20 @@ def _cmd_list() -> int:
     return 0
 
 
+def _lru_shrink(megabytes: float, shrink, noun: str, path) -> int:
+    """``cache prune`` / ``store gc``: shrink to ``--max-size MB`` and
+    report; exit 2 unless it is a finite number >= 0 (not nan or inf)."""
+    budget = megabytes * 1e6
+    if not math.isfinite(budget) or budget < 0:
+        print("--max-size must be a finite number >= 0", file=sys.stderr)
+        return 2
+    outcome = shrink(int(budget))
+    print(f"removed {outcome['removed']} least-recently-used {noun}; "
+          f"{outcome['remaining_entries']} remain "
+          f"({outcome['remaining_bytes'] / 1e6:.2f} MB) in {path}")
+    return 0
+
+
 def _cmd_cache(args) -> int:
     # _resolve_dir always lands on a concrete directory (flag, env,
     # or the default), so cache.path is never None here.
@@ -423,15 +438,8 @@ def _cmd_cache(args) -> int:
         print(f"removed {removed} entries from {cache.path}")
         return 0
     if args.cache_command == "prune":
-        if args.max_size < 0:
-            print("--max-size must be >= 0", file=sys.stderr)
-            return 2
-        max_bytes = int(args.max_size * 1e6)
-        outcome = cache.prune_disk(max_bytes)
-        print(f"removed {outcome['removed']} least-recently-used entries; "
-              f"{outcome['remaining_entries']} remain "
-              f"({outcome['remaining_bytes'] / 1e6:.2f} MB) in {cache.path}")
-        return 0
+        return _lru_shrink(args.max_size, cache.prune_disk, "entries",
+                           cache.path)
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
 
 
@@ -581,14 +589,7 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.store_command == "gc":
-        if args.max_size < 0:
-            print("--max-size must be >= 0", file=sys.stderr)
-            return 2
-        outcome = store.gc(int(args.max_size * 1e6))
-        print(f"removed {outcome['removed']} least-recently-used results; "
-              f"{outcome['remaining_entries']} remain "
-              f"({outcome['remaining_bytes'] / 1e6:.2f} MB) in {store.path}")
-        return 0
+        return _lru_shrink(args.max_size, store.gc, "results", store.path)
     raise AssertionError(f"unhandled store command {args.store_command!r}")
 
 
@@ -1053,7 +1054,7 @@ def main(argv=None) -> int:
     )
     serve_parser.add_argument(
         "--jobs", type=int, default=2, metavar="N",
-        help="concurrent experiment jobs (queue worker threads; each "
+        help="concurrent experiment jobs (in-process claim loops; each "
              "job's sweep grid runs inline; 0 = no local execution, "
              "jobs wait for fleet workers)",
     )

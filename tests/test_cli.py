@@ -258,8 +258,10 @@ class TestCacheSubcommand:
                        "--cache-dir", str(tmp_path))
         assert "removed 0" in out
 
-    def test_prune_negative_max_size_fails_cleanly(self, capsys, tmp_path):
-        assert main(["cache", "prune", "--max-size", "-1",
+    @pytest.mark.parametrize("size", ["-1", "nan", "inf"])
+    def test_prune_negative_max_size_fails_cleanly(self, capsys, tmp_path,
+                                                   size):
+        assert main(["cache", "prune", "--max-size", size,
                      "--cache-dir", str(tmp_path)]) == 2
         assert "--max-size" in capsys.readouterr().err
 
@@ -379,8 +381,10 @@ class TestStoreCLI:
                      "--store-dir", str(tmp_path)]) == 2
         assert "no stored result matches" in capsys.readouterr().err
 
-    def test_gc_negative_max_size_fails_cleanly(self, capsys, tmp_path):
-        assert main(["store", "gc", "--max-size", "-1",
+    @pytest.mark.parametrize("size", ["-1", "nan", "inf"])
+    def test_gc_negative_max_size_fails_cleanly(self, capsys, tmp_path,
+                                                size):
+        assert main(["store", "gc", "--max-size", size,
                      "--store-dir", str(tmp_path)]) == 2
         assert "--max-size" in capsys.readouterr().err
 
