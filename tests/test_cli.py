@@ -496,3 +496,185 @@ class TestCircuitsCLI:
         assert "circuit:" in workload_line and "…" in workload_line
         validation_line = next(l for l in lines if "validation" in l)
         assert " - " in validation_line
+
+
+# ---------------------------------------------------------------------------
+# Maintenance CLI bytes: every cache/store/circuits/trace subcommand and
+# error path, run over one directory populated from fixed inputs through
+# each store's own API.  Regenerate the transcript after a deliberate
+# output change with ``PYTHONPATH=src python tests/test_cli.py``.
+# ---------------------------------------------------------------------------
+
+MAINTENANCE_FIXTURE = FIXTURES / "cli_maintenance.txt"
+
+#: Stored under two keys sharing the prefix ``ab``; ``cd…`` is not JSON
+#: and ``ef…`` is JSON but no envelope.
+STORE_KEYS = ("ab" + "1" * 62, "ab" + "2" * 62)
+TRACE_IDS = ("ab" + "0" * 30, "ab" + "1" * 30, "cd" + "0" * 30)
+
+
+def _maintenance_inputs():
+    """The fixed inputs: a ``validation --quick`` envelope, two compiled
+    programs, and two circuits whose digests share their first digit."""
+    from repro.api import Session
+    from repro.circuits import from_qasm
+    from repro.circuits.digest import circuit_digest
+    from repro.core.compiler import compile_circuit
+    from repro.core.config import CompilerConfig
+    from repro.hardware.topology import Topology
+    from repro.workloads.registry import build_circuit
+
+    envelope = Session().run("validation", quick=True).to_dict()
+    config = CompilerConfig(max_interaction_distance=3.0)
+    programs = [compile_circuit(build_circuit("bv", size),
+                                Topology.square(5, 3.0), config)
+                for size in (4, 6)]
+    by_digit = {}
+    for step in range(1, 40):
+        text = CLI_QASM.replace("rz(0.5)", f"rz({step / 10})")
+        digit = circuit_digest(from_qasm(text))[0]
+        if digit in by_digit:
+            return envelope, programs, (by_digit[digit], text)
+        by_digit[digit] = text
+    raise AssertionError("no two circuits share a first digit")
+
+
+def _populate(root, inputs) -> None:
+    """Write the fixed inputs under ``root`` with fixed mtimes."""
+    import os
+    import pickle
+
+    from repro.api import ResultStore
+    from repro.api.circuits import CircuitStore
+    from repro.exec.cache import CompileCache
+    from repro.obs import TraceStore
+    from repro.obs.trace import span_record
+
+    envelope, programs, qasm_texts = inputs
+    stamp = iter(range(1_600_000_000, 1_600_001_000, 10))
+
+    def settle(disk, key):
+        moment = next(stamp)
+        os.utime(disk.file_for(key), (moment, moment))
+
+    cache = CompileCache(str(root / "cache"))
+    for index, program in enumerate(programs):
+        key = f"{index}a" + "0" * 62
+        cache.store(key, program)
+        settle(cache.disk, key)
+
+    store = ResultStore(str(root / "store"))
+    for key in STORE_KEYS:
+        store.put(key, envelope)
+        settle(store.disk, key)
+    store.disk.write("cd" + "0" * 62, b"not json")
+    settle(store.disk, "cd" + "0" * 62)
+    store.put("ef" + "0" * 62, {"schema": "unknown"})
+    settle(store.disk, "ef" + "0" * 62)
+    store.record(STORE_KEYS[0], "validation", 0.25, hit=False)
+    store.record(STORE_KEYS[0], "validation", 0.001, hit=True,
+                 trace=TRACE_IDS[2])
+
+    circuits = CircuitStore(str(root / "circuits"))
+    for text in qasm_texts:
+        digest = circuits.add(text)
+        settle(circuits.disk, digest)
+    circuits.disk.write("ee" + "0" * 62, b"\xff\xfe")
+    settle(circuits.disk, "ee" + "0" * 62)
+    (root / "prog.qasm").write_text(CLI_QASM)
+    (root / "bad.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nbad q[0];\n")
+
+    traces = TraceStore(str(root / "traces"))
+    for index, trace_id in enumerate(TRACE_IDS):
+        root_span = f"{index}" * 16
+        traces.emit(span_record(trace_id, root_span, None, "session.run",
+                                "session", 100.0 + index, 0.5,
+                                {"experiment": "validation"}))
+        traces.emit(span_record(trace_id, "f" * 16, root_span, "compile",
+                                "worker", 100.1 + index, 0.25))
+        settle(traces.disk, trace_id)
+
+
+def _maintenance_cases(digests):
+    """argv lists over ``{D}``, the populated directory."""
+    cache = ("--cache-dir", "{D}/cache")
+    store = ("--store-dir", "{D}/store")
+    circuits = ("--circuit-dir", "{D}/circuits")
+    traces = ("--trace-dir", "{D}/traces")
+    cases = [("cache", "stats", *cache),
+             ("cache", "stats", "--cache-dir", "{D}/empty"),
+             ("cache", "clear", *cache)]
+    cases += [("cache", "prune", "--max-size", size, *cache)
+              for size in ("0", "100", "-1", "nan", "inf")]
+    cases += [("store", "ls", *store),
+              ("store", "ls", "--store-dir", "{D}/empty"),
+              ("store", "ls", "--last", "1", *store),
+              ("store", "ls", "--last", "5", *store),
+              ("store", "ls", "--last", "0", *store),
+              ("store", "show", STORE_KEYS[0][:12], *store),
+              ("store", "show", STORE_KEYS[1], "--format", "json", *store),
+              ("store", "show", "ab", *store),
+              ("store", "show", "feedbeef", *store),
+              ("store", "show", "cd", *store),
+              ("store", "show", "ef", *store),
+              ("store", "show", "ef", "--format", "json", *store)]
+    cases += [("store", "gc", "--max-size", size, *store)
+              for size in ("0", "100", "nan")]
+    cases += [("circuits", "add", "{D}/prog.qasm", *circuits),
+              ("circuits", "add", "{D}/missing.qasm", *circuits),
+              ("circuits", "add", "{D}/bad.qasm", *circuits),
+              ("circuits", "ls", *circuits),
+              ("circuits", "ls", "--circuit-dir", "{D}/empty"),
+              ("circuits", "show", digests[0][:10], *circuits),
+              ("circuits", "show", f"circuit:{digests[1]}", *circuits),
+              ("circuits", "show", digests[0][0], *circuits),
+              ("circuits", "show", "feedbeef", *circuits),
+              ("circuits", "show", "ee", *circuits),
+              ("trace", "ls", *traces),
+              ("trace", "ls", "--trace-dir", "{D}/empty"),
+              ("trace", "show", TRACE_IDS[2][:8], *traces),
+              ("trace", "show", TRACE_IDS[0], "--format", "json", *traces),
+              ("trace", "show", "ab", *traces),
+              ("trace", "show", "zz", *traces)]
+    return cases
+
+
+def maintenance_transcript(root) -> str:
+    """Every maintenance case, each on a freshly populated copy of the
+    fixed inputs: argv, exit status, stdout and stderr, with ``root``
+    spelled ``<DIR>``."""
+    import contextlib
+    import io
+
+    from repro.circuits import from_qasm
+    from repro.circuits.digest import circuit_digest
+
+    inputs = _maintenance_inputs()
+    digests = sorted(circuit_digest(from_qasm(text)) for text in inputs[2])
+    blocks = []
+    for index, case in enumerate(_maintenance_cases(digests)):
+        directory = root / f"case{index:02d}"
+        directory.mkdir()
+        _populate(directory, inputs)
+        argv = [arg.replace("{D}", str(directory)) for arg in case]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        text = (f"$ repro {' '.join(case)}\n[exit {status}]\n"
+                f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+        blocks.append(text.replace(str(directory), "<DIR>")
+                      .replace("{D}", "<DIR>"))
+    return "\n".join(blocks)
+
+
+def test_maintenance_cli_bytes_match_the_transcript(tmp_path):
+    assert maintenance_transcript(tmp_path) == \
+        MAINTENANCE_FIXTURE.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        MAINTENANCE_FIXTURE.write_text(
+            maintenance_transcript(pathlib.Path(scratch)), encoding="utf-8")
