@@ -51,6 +51,12 @@ and refreshes the stored entry).  Figure output goes to stdout and
 timing diagnostics to stderr, so redirected output is byte-comparable
 between runs sharing a warm cache — or replayed from the store.
 
+``run`` and ``sweep`` take the same execution flags (``--quick``,
+``--format``, ``--out``, ``--jobs``, ``--cache-dir``, ``--no-cache``,
+``--store``, ``--force``, ``--circuit-dir``, ``--trace-dir``), declared
+once; ``--cache-dir`` and ``--no-cache`` mean the same in ``serve`` and
+``worker`` too.
+
 ``sweep`` runs a parameter grid as one :class:`repro.api.SweepSpec`:
 each ``--axis name=v1,v2,...`` contributes one grid dimension, ``--set
 name=value`` fixes a parameter across every cell, and the grid expands
@@ -78,9 +84,13 @@ kernels, queue wait, lease lifetime — lands as one span in an
 append-only JSONL store under DIR, and the id is printed to stderr as
 ``[trace <id>]``.  Tracing is observability only: ``--format json``
 output is byte-identical with it on or off.  ``trace ls`` / ``trace
-show`` browse a trace directory (unique id prefixes accepted); a
-serving endpoint started with ``--trace-dir`` also answers ``GET
-/trace/<id>``.
+show`` browse a trace directory; a serving endpoint started with
+``--trace-dir`` also answers ``GET /trace/<id>``.
+
+``store show``, ``circuits show`` and ``trace show`` resolve their
+argument the same way: a full key or any unique prefix of one.  No match
+and an ambiguous prefix each print one stderr line (the latter naming
+the 16-character candidates) and exit 2.
 
 ``serve`` starts the HTTP serving layer (:mod:`repro.serve`) over a
 result store: cached results are answered from disk, misses run on a
@@ -211,9 +221,25 @@ def _emit(payload: str, out) -> None:
             handle.write(payload)
 
 
-def _cmd_run(args) -> int:
+def _local_session(args):
+    """The :class:`Session` a local ``run``/``sweep`` executes under,
+    built from their shared flags; ``None`` after a stderr line when
+    ``--jobs`` is below 1."""
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
+        return None
+    return Session(
+        jobs=args.jobs,
+        cache_dir=_resolve_dir("cache", args.cache_dir, args.no_cache),
+        store_dir=args.store,
+        circuit_dir=_resolve_dir("circuits", args.circuit_dir),
+        trace_dir=args.trace_dir,
+    )
+
+
+def _cmd_run(args) -> int:
+    session = _local_session(args)
+    if session is None:
         return 2
     specs = all_experiments()
     if args.experiment != "all" and args.experiment not in specs:
@@ -222,13 +248,6 @@ def _cmd_run(args) -> int:
         return 2
     names = list(specs) if args.experiment == "all" else [args.experiment]
 
-    session = Session(
-        jobs=args.jobs,
-        cache_dir=_resolve_dir("cache", args.cache_dir, args.no_cache),
-        store_dir=args.store,
-        circuit_dir=_resolve_dir("circuits", args.circuit_dir),
-        trace_dir=args.trace_dir,
-    )
     overrides = {}
     if args.circuit is not None:
         if args.experiment == "all":
@@ -346,16 +365,9 @@ def _cmd_sweep(args) -> int:
         session = RemoteSession(args.server,
                                 trace=args.trace_dir is not None)
     else:
-        if args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
+        session = _local_session(args)
+        if session is None:
             return 2
-        session = Session(
-            jobs=args.jobs,
-            cache_dir=_resolve_dir("cache", args.cache_dir, args.no_cache),
-            store_dir=args.store,
-            circuit_dir=_resolve_dir("circuits", args.circuit_dir),
-            trace_dir=args.trace_dir,
-        )
     from repro.obs import trace as _obs
 
     hits_before = session.hits
@@ -443,6 +455,21 @@ def _cmd_cache(args) -> int:
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
 
 
+def _resolve_prefix(disk, prefix: str, arg: str, noun: str, missing: str):
+    """The one key in ``disk`` that ``prefix`` (the ``show`` argument
+    ``arg``, normalized) names; ``None`` after printing ``missing`` or
+    the ambiguity line to stderr."""
+    try:
+        key = disk.resolve(prefix)
+    except KeyError as error:
+        print(f"{noun} prefix {arg!r} is ambiguous: "
+              f"{', '.join(k[:16] for k in error.args[0])}", file=sys.stderr)
+        return None
+    if key is None:
+        print(missing, file=sys.stderr)
+    return key
+
+
 def _workload_column(envelope) -> str:
     """The ``store ls`` workload-reference column for one envelope.
 
@@ -501,18 +528,14 @@ def _cmd_circuits(args) -> int:
         digest = args.digest
         if digest.startswith("circuit:"):
             digest = digest[len("circuit:"):]
-        matches = circuits.disk.matching(digest)
-        if not matches:
-            print(f"no stored circuit matches {args.digest!r} in "
-                  f"{circuits.path}", file=sys.stderr)
+        digest = _resolve_prefix(
+            circuits.disk, digest, args.digest, "digest",
+            f"no stored circuit matches {args.digest!r} in {circuits.path}")
+        if digest is None:
             return 2
-        if len(matches) > 1:
-            print(f"digest prefix {args.digest!r} is ambiguous: "
-                  f"{', '.join(d[:16] for d in matches)}", file=sys.stderr)
-            return 2
-        text = circuits.get_qasm(matches[0])
+        text = circuits.get_qasm(digest)
         if text is None:
-            print(f"stored circuit {matches[0][:16]}… is unreadable",
+            print(f"stored circuit {digest[:16]}… is unreadable",
                   file=sys.stderr)
             return 2
         # The canonical QASM bytes — identical to GET /circuits/<digest>.
@@ -561,19 +584,14 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.store_command == "show":
-        matches = store.disk.matching(args.key)
-        if not matches:
-            print(f"no stored result matches key {args.key!r} in "
-                  f"{store.path}", file=sys.stderr)
+        key = _resolve_prefix(
+            store.disk, args.key, args.key, "key",
+            f"no stored result matches key {args.key!r} in {store.path}")
+        if key is None:
             return 2
-        if len(matches) > 1:
-            print(f"key prefix {args.key!r} is ambiguous: "
-                  f"{', '.join(k[:16] for k in matches)}", file=sys.stderr)
-            return 2
-        envelope = store.peek(matches[0])
+        envelope = store.peek(key)
         if envelope is None:
-            print(f"stored entry {matches[0]} is unreadable",
-                  file=sys.stderr)
+            print(f"stored entry {key} is unreadable", file=sys.stderr)
             return 2
         if args.format == "json":
             # Byte-identical to `run <x> --format json` for this entry.
@@ -582,7 +600,7 @@ def _cmd_store(args) -> int:
         try:
             result = ExperimentResult.from_dict(envelope)
         except (TypeError, ValueError) as error:
-            print(f"cannot decode stored entry {matches[0][:16]}…: {error}",
+            print(f"cannot decode stored entry {key[:16]}…: {error}",
                   file=sys.stderr)
             return 2
         print(result.format())
@@ -630,15 +648,10 @@ def _cmd_trace(args) -> int:
         return 0
 
     if args.trace_command == "show":
-        prefix = args.id.strip()
-        try:
-            trace_id = traces.resolve(prefix)
-        except KeyError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+        trace_id = _resolve_prefix(
+            traces.disk, args.id.strip(), args.id, "trace",
+            f"no recorded trace matches {args.id!r} in {traces.path}")
         if trace_id is None:
-            print(f"no recorded trace matches {args.id!r} in {traces.path}",
-                  file=sys.stderr)
             return 2
         spans = traces.read(trace_id)
         if args.format == "json":
@@ -811,52 +824,77 @@ def main(argv=None) -> int:
         prog="python -m repro",
         description="Regenerate the paper's figures and extensions.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("list", help="list available experiments")
-
-    run_parser = subparsers.add_parser("run", help="run one experiment")
-    run_parser.add_argument(
-        "experiment",
-        help="an experiment name (see 'list'), or 'all'",
-    )
-    run_parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced parameters for a fast smoke run",
-    )
-    run_parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="text: the figure's rendered rows/series (default); "
-             "json: the schema-stable ExperimentResult envelope "
-             "(for 'all': one object mapping name -> envelope)",
-    )
-    run_parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the result to FILE instead of stdout",
-    )
-    run_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for sweep grids (default 1; output is "
-             "identical at any N whenever the on-disk cache is enabled "
-             "— see README for the --no-cache caveat)",
-    )
-    run_parser.add_argument(
+    # Flags that mean the same in several commands are declared once,
+    # in parent parsers the commands inherit.
+    cache_dir_parent = argparse.ArgumentParser(add_help=False)
+    cache_dir_parent.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persistent compile-cache directory (default: "
-             "$REPRO_CACHE_DIR, else ~/.cache/repro/compile)",
+        help="compile-cache directory (default: $REPRO_CACHE_DIR, else "
+             "~/.cache/repro/compile)",
     )
-    run_parser.add_argument(
+    compile_cache_parent = argparse.ArgumentParser(
+        add_help=False, parents=[cache_dir_parent])
+    compile_cache_parent.add_argument(
         "--no-cache", action="store_true",
         help="disable the on-disk compile cache (memory-only)",
     )
-    run_parser.add_argument(
+    circuit_dir_parent = argparse.ArgumentParser(add_help=False)
+    circuit_dir_parent.add_argument(
+        "--circuit-dir", default=None, metavar="DIR",
+        help="circuit-store directory circuit:<digest> references "
+             "resolve from (default: $REPRO_CIRCUIT_DIR, else "
+             "~/.cache/repro/circuits)",
+    )
+    run_parent = argparse.ArgumentParser(
+        add_help=False, parents=[compile_cache_parent, circuit_dir_parent])
+    run_parent.add_argument(
+        "--quick", action="store_true",
+        help="apply the experiment's reduced-parameter preset (a fast "
+             "smoke run)",
+    )
+    run_parent.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="text: the rendered figure (default); json: the "
+             "schema-stable result envelope",
+    )
+    run_parent.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="write the payload to FILE instead of stdout",
+    )
+    run_parent.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for each task grid (default 1; output is "
+             "identical at any N whenever the on-disk cache is enabled "
+             "— see README for the --no-cache caveat)",
+    )
+    run_parent.add_argument(
         "--store", default=None, metavar="DIR",
-        help="persistent result store: replay a previously stored run "
+        help="persistent result store: replay a previously stored result "
              "instead of recomputing, persist fresh results",
     )
-    run_parser.add_argument(
+    run_parent.add_argument(
         "--force", action="store_true",
-        help="with --store: recompute even on a store hit and refresh "
+        help="recompute even when a stored result exists, and refresh "
              "the stored entry",
+    )
+    run_parent.add_argument(
+        "--trace-dir", default=None, metavar="DIR",
+        help="record an end-to-end trace into DIR (append-only JSONL; "
+             "browse with `trace show`); stdout stays byte-identical "
+             "with tracing on or off",
+    )
+
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers.add_parser("list", help="list available experiments")
+
+    run_parser = subparsers.add_parser(
+        "run", parents=[run_parent], help="run one experiment",
+        description="Run one experiment ('all': every experiment; "
+                    "--format json then emits one object mapping each "
+                    "name to its envelope).")
+    run_parser.add_argument(
+        "experiment",
+        help="an experiment name (see 'list'), or 'all'",
     )
     run_parser.add_argument(
         "--circuit", default=None, metavar="FILE",
@@ -865,20 +903,14 @@ def main(argv=None) -> int:
              "(the experiment must declare exactly one circuit "
              "parameter, e.g. workload-metrics)",
     )
-    run_parser.add_argument(
-        "--circuit-dir", default=None, metavar="DIR",
-        help="content-addressed circuit-store directory (default: "
-             "$REPRO_CIRCUIT_DIR, else ~/.cache/repro/circuits)",
-    )
-    run_parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="record an end-to-end trace of this run into DIR "
-             "(append-only JSONL; browse with `trace show`); stdout "
-             "stays byte-identical with tracing on or off",
-    )
 
     sweep_parser = subparsers.add_parser(
-        "sweep", help="run a parameter grid over one experiment")
+        "sweep", parents=[run_parent],
+        help="run a parameter grid over one experiment",
+        description="Run a parameter grid over one experiment.  "
+                    "--format json emits the schema-versioned SweepResult "
+                    "envelope.  --jobs, --cache-dir, --no-cache, --store "
+                    "and --circuit-dir apply to local runs only.")
     sweep_parser.add_argument(
         "experiment", help="an experiment name (see 'list')",
     )
@@ -894,68 +926,15 @@ def main(argv=None) -> int:
              "(repeatable)",
     )
     sweep_parser.add_argument(
-        "--quick", action="store_true",
-        help="apply the experiment's reduced-parameter preset under "
-             "the grid",
-    )
-    sweep_parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="text: per-cell figure text under cell headers (default); "
-             "json: the schema-versioned SweepResult envelope",
-    )
-    sweep_parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the sweep payload to FILE instead of stdout",
-    )
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for each cell's task grid (local runs "
-             "only; default 1)",
-    )
-    sweep_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persistent compile-cache directory (default: "
-             "$REPRO_CACHE_DIR, else ~/.cache/repro/compile)",
-    )
-    sweep_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk compile cache (memory-only)",
-    )
-    sweep_parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent result store: cells replay from stored "
-             "envelopes and fresh cells persist (local runs only)",
-    )
-    sweep_parser.add_argument(
         "--server", default=None, metavar="URL",
         help="submit the sweep to a running `repro serve` endpoint and "
-             "stream per-cell results instead of executing locally",
-    )
-    sweep_parser.add_argument(
-        "--force", action="store_true",
-        help="recompute every cell even when a stored result exists",
-    )
-    sweep_parser.add_argument(
-        "--circuit-dir", default=None, metavar="DIR",
-        help="circuit-store directory circuit:<digest> references "
-             "resolve from (local runs only; default: "
-             "$REPRO_CIRCUIT_DIR, else ~/.cache/repro/circuits)",
-    )
-    sweep_parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="record one end-to-end trace of the sweep into DIR; with "
-             "--server, spans export to the server's trace store "
-             "instead (POST /trace) and DIR is not written",
+             "stream per-cell results instead of executing locally; "
+             "with --trace-dir, spans export to the server's trace "
+             "store (POST /trace) and DIR is not written",
     )
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect or shrink the on-disk compile cache")
-    cache_dir_parent = argparse.ArgumentParser(add_help=False)
-    cache_dir_parent.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR, else "
-             "~/.cache/repro/compile)",
-    )
     cache_sub = cache_parser.add_subparsers(
         dest="cache_command", required=True)
     cache_sub.add_parser("stats", parents=[cache_dir_parent],
@@ -973,12 +952,6 @@ def main(argv=None) -> int:
     circuits_parser = subparsers.add_parser(
         "circuits",
         help="manage the content-addressed circuit store")
-    circuit_dir_parent = argparse.ArgumentParser(add_help=False)
-    circuit_dir_parent.add_argument(
-        "--circuit-dir", default=None, metavar="DIR",
-        help="circuit-store directory (default: $REPRO_CIRCUIT_DIR, "
-             "else ~/.cache/repro/circuits)",
-    )
     circuits_sub = circuits_parser.add_subparsers(
         dest="circuits_command", required=True)
     circuits_add = circuits_sub.add_parser(
@@ -1038,7 +1011,8 @@ def main(argv=None) -> int:
     )
 
     serve_parser = subparsers.add_parser(
-        "serve", help="serve experiments over HTTP (see repro.serve)")
+        "serve", parents=[compile_cache_parent],
+        help="serve experiments over HTTP (see repro.serve)")
     serve_parser.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default 127.0.0.1)",
@@ -1062,15 +1036,6 @@ def main(argv=None) -> int:
         "--lease-ttl", type=float, default=15.0, metavar="S",
         help="seconds a fleet worker's job lease survives without a "
              "heartbeat before the job is reclaimed (default 15)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="compile-cache directory shared by all jobs (default: "
-             "$REPRO_CACHE_DIR, else ~/.cache/repro/compile)",
-    )
-    serve_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk compile cache (memory-only)",
     )
     serve_parser.add_argument(
         "--quiet", action="store_true",
@@ -1114,7 +1079,7 @@ def main(argv=None) -> int:
     )
 
     worker_parser = subparsers.add_parser(
-        "worker",
+        "worker", parents=[compile_cache_parent, circuit_dir_parent],
         help="join a serve endpoint's worker fleet (see repro.fleet)")
     worker_parser.add_argument(
         "--server", required=True, metavar="URL",
@@ -1132,22 +1097,6 @@ def main(argv=None) -> int:
              "it at the server's store (shared filesystem) so replays "
              "are free fleet-wide (default: $REPRO_STORE_DIR, else "
              "~/.cache/repro/results)",
-    )
-    worker_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="compile-cache directory shared by this worker's jobs "
-             "(default: $REPRO_CACHE_DIR, else ~/.cache/repro/compile)",
-    )
-    worker_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk compile cache (memory-only)",
-    )
-    worker_parser.add_argument(
-        "--circuit-dir", default=None, metavar="DIR",
-        help="local circuit-store directory; digests a claimed job "
-             "names but this store lacks are fetched from the server "
-             "and cached here (default: $REPRO_CIRCUIT_DIR, else "
-             "~/.cache/repro/circuits)",
     )
     worker_parser.add_argument(
         "--poll", type=float, default=0.5, metavar="S",

@@ -136,11 +136,19 @@ class ShardedDir:
             "total_bytes": sum(size for _, _, size, _ in rows),
         }
 
-    def matching(self, prefix: str) -> List[str]:
-        """Sorted keys starting with ``prefix`` — one match resolves a
-        CLI prefix, several mean it is ambiguous."""
-        return sorted({key for key, _, _, _ in self.entries()
-                       if key.startswith(prefix)})
+    def resolve(self, prefix: str) -> Optional[str]:
+        """The one stored key starting with ``prefix``, or ``None``;
+        ``KeyError`` carrying the sorted candidates when several do.  A
+        prefix that is itself a stored key resolves without a walk."""
+        # Keys are alphanumeric, so a separator or ".." never reaches
+        # a file outside the directory.
+        if prefix.isalnum() and self.has(prefix):
+            return prefix
+        matches = sorted(key for key, _, _, _ in self.entries()
+                         if key.startswith(prefix))
+        if len(matches) > 1:
+            raise KeyError(matches)
+        return matches[0] if matches else None
 
     # -- maintenance -------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.exec.diskutil import ShardedDir
 from repro.obs.trace import is_trace_id
@@ -92,22 +92,6 @@ class TraceStore:
                 spans.append(record)
         spans.sort(key=lambda s: (s.get("start", 0.0), str(s.get("span"))))
         return spans
-
-    def resolve(self, prefix: str) -> Optional[str]:
-        """The unique trace id starting with ``prefix`` (CLI ``trace
-        show`` convenience, like ``store show``), or ``None``; raises
-        ``KeyError`` listing candidates when ambiguous."""
-        if is_trace_id(prefix):
-            return prefix if self.disk.has(prefix) else None
-        matches = [trace_id for trace_id in self.disk.matching(prefix)
-                   if is_trace_id(trace_id)]
-        if not matches:
-            return None
-        if len(matches) > 1:
-            raise KeyError(
-                f"trace prefix {prefix!r} is ambiguous: "
-                + ", ".join(matches[:5]))
-        return matches[0]
 
     def traces(self) -> List[Tuple[str, int, float]]:
         """Every stored trace as ``(trace_id, spans_bytes, mtime)``,

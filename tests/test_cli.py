@@ -639,20 +639,22 @@ def _maintenance_cases(digests):
     return cases
 
 
-def maintenance_transcript(root) -> str:
-    """Every maintenance case, each on a freshly populated copy of the
-    fixed inputs: argv, exit status, stdout and stderr, with ``root``
+def _digests(inputs):
+    from repro.circuits import from_qasm
+    from repro.circuits.digest import circuit_digest
+
+    return sorted(circuit_digest(from_qasm(text)) for text in inputs[2])
+
+
+def maintenance_transcript(root, inputs) -> str:
+    """Every maintenance case, each on a freshly populated copy of
+    ``inputs``: argv, exit status, stdout and stderr, with ``root``
     spelled ``<DIR>``."""
     import contextlib
     import io
 
-    from repro.circuits import from_qasm
-    from repro.circuits.digest import circuit_digest
-
-    inputs = _maintenance_inputs()
-    digests = sorted(circuit_digest(from_qasm(text)) for text in inputs[2])
     blocks = []
-    for index, case in enumerate(_maintenance_cases(digests)):
+    for index, case in enumerate(_maintenance_cases(_digests(inputs))):
         directory = root / f"case{index:02d}"
         directory.mkdir()
         _populate(directory, inputs)
@@ -667,9 +669,71 @@ def maintenance_transcript(root) -> str:
     return "\n".join(blocks)
 
 
-def test_maintenance_cli_bytes_match_the_transcript(tmp_path):
-    assert maintenance_transcript(tmp_path) == \
+@pytest.fixture(scope="module")
+def maintenance_inputs():
+    return _maintenance_inputs()
+
+
+def test_maintenance_cli_bytes_match_the_transcript(tmp_path,
+                                                    maintenance_inputs):
+    assert maintenance_transcript(tmp_path, maintenance_inputs) == \
         MAINTENANCE_FIXTURE.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["store", "circuits", "trace"])
+@pytest.mark.parametrize("outcome", ["none", "ambiguous", "unique"])
+def test_show_resolves_prefixes_one_way(command, outcome, tmp_path, capsys,
+                                        maintenance_inputs):
+    """All three ``show`` commands: one no-match line, one ambiguity
+    line with 16-character candidates, and a unique prefix shows."""
+    from repro.api.store import canonical_json
+
+    _populate(tmp_path, maintenance_inputs)
+    digests = _digests(maintenance_inputs)
+    flag, directory = {"store": ("--store-dir", "store"),
+                       "circuits": ("--circuit-dir", "circuits"),
+                       "trace": ("--trace-dir", "traces")}[command]
+    directory = tmp_path / directory
+    prefix = {
+        ("store", "none"): "feedbeef",
+        ("store", "ambiguous"): "ab",
+        ("store", "unique"): "ab1",
+        ("circuits", "none"): "feedbeef",
+        ("circuits", "ambiguous"): digests[0][0],
+        ("circuits", "unique"): f"circuit:{digests[1][:3]}",
+        ("trace", "none"): "zz",
+        ("trace", "ambiguous"): "ab",
+        ("trace", "unique"): "cd",
+    }[command, outcome]
+    status = main([command, "show", prefix, flag, str(directory),
+                   *(["--format", "json"] if command != "circuits" else [])])
+    captured = capsys.readouterr()
+    if outcome == "unique":
+        assert (status, captured.err) == (0, "")
+        if command == "store":
+            assert captured.out == canonical_json(maintenance_inputs[0])
+        elif command == "circuits":
+            assert _digests((None, None, [captured.out])) == digests[1:]
+        else:
+            assert json.loads(captured.out)["trace"] == TRACE_IDS[2]
+        return
+    expected = {
+        ("store", "none"):
+            f"no stored result matches key 'feedbeef' in {directory}",
+        ("store", "ambiguous"):
+            "key prefix 'ab' is ambiguous: ab11111111111111, "
+            "ab22222222222222",
+        ("circuits", "none"):
+            f"no stored circuit matches 'feedbeef' in {directory}",
+        ("circuits", "ambiguous"):
+            f"digest prefix {prefix!r} is ambiguous: {digests[0][:16]}, "
+            f"{digests[1][:16]}",
+        ("trace", "none"): f"no recorded trace matches 'zz' in {directory}",
+        ("trace", "ambiguous"):
+            "trace prefix 'ab' is ambiguous: ab00000000000000, "
+            "ab11111111111111",
+    }[command, outcome]
+    assert (status, captured.out, captured.err) == (2, "", expected + "\n")
 
 
 if __name__ == "__main__":
@@ -677,4 +741,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         MAINTENANCE_FIXTURE.write_text(
-            maintenance_transcript(pathlib.Path(scratch)), encoding="utf-8")
+            maintenance_transcript(pathlib.Path(scratch),
+                                   _maintenance_inputs()),
+            encoding="utf-8")

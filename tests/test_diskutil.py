@@ -7,6 +7,8 @@ itself promises.
 
 import os
 
+import pytest
+
 from repro.exec.diskutil import ShardedDir
 
 
@@ -18,10 +20,26 @@ def test_matching_none_one_and_ambiguous(tmp_path):
     store = _dir(tmp_path)
     for key in ("aa11", "aa12", "bb00"):
         store.write(key, key.encode())
-    assert store.matching("cc") == []
-    assert store.matching("bb") == ["bb00"]
-    assert store.matching("aa1") == ["aa11", "aa12"]
-    assert store.matching("aa11") == ["aa11"]
+    assert store.resolve("cc") is None
+    assert store.resolve("bb") == "bb00"
+    assert store.resolve("aa11") == "aa11"
+    with pytest.raises(KeyError) as raised:
+        store.resolve("aa1")
+    assert raised.value.args[0] == ["aa11", "aa12"]
+
+
+def test_resolve_takes_a_stored_key_without_walking(tmp_path, monkeypatch):
+    store = _dir(tmp_path)
+    store.write("aa11", b"x")
+    monkeypatch.setattr(store, "entries", lambda: [])
+    assert store.resolve("aa11") == "aa11"
+    assert store.resolve("aa1") is None
+    # A path that escapes the directory is never taken for a key.
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "out.bin").write_bytes(b"x")
+    nested = ShardedDir(str(tmp_path / "a" / "b"), ".bin", "d", "dropped")
+    assert os.path.exists(nested.file_for("../out"))
+    assert nested.resolve("../out") is None
 
 
 def test_read_leaves_mtime_unchanged(tmp_path):

@@ -290,12 +290,12 @@ class TestTraceStore:
         for trace_id in (first, second):
             store.emit(span_record(trace_id, "c" * 16, None, "x", "s",
                                    1.0, 0.1))
-        assert store.resolve(first) == first
-        assert store.resolve("ab") == second
-        assert store.resolve("zz") is None
-        assert store.resolve(new_trace_id()) is None  # full id, not stored
-        with pytest.raises(KeyError, match="ambiguous"):
-            store.resolve("a")
+        assert store.disk.resolve(first) == first
+        assert store.disk.resolve("ab") == second
+        assert store.disk.resolve("zz") is None
+        assert store.disk.resolve(new_trace_id()) is None  # not stored
+        with pytest.raises(KeyError):
+            store.disk.resolve("a")
 
     def test_traces_and_stats(self, tmp_path):
         store = self._store(tmp_path)
