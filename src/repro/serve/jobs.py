@@ -238,7 +238,9 @@ class JobQueue:
                 by_status[job.status] = by_status.get(job.status, 0) + 1
             in_flight = len(self._inflight)
         return {
-            "workers": len(self._loops),
+            # Claim loops still running: a BaseException ends one for
+            # good, and nothing starts a replacement.
+            "workers": sum(loop.is_alive() for loop in self._loops),
             "in_flight": in_flight,
             "by_status": dict(sorted(by_status.items())),
         }

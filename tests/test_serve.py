@@ -17,7 +17,7 @@ import urllib.error
 
 import pytest
 
-from harness import get, post, post_text, request
+from harness import get, post, post_text, request, wait_for
 from repro.__main__ import main
 from repro.api import Session, all_experiments, store_key
 from repro.api.session import install_default
@@ -474,6 +474,8 @@ class TestJobQueueUnit:
             assert job.status == DONE
             assert job.attempts == 2
             assert queue.metrics.snapshot()["fleet"]["leases_reclaimed"] == 1
+            # /metrics counts the loop that is still alive, not both.
+            wait_for(lambda: queue.describe()["workers"] == 1, timeout=10)
         finally:
             queue.shutdown()
 
