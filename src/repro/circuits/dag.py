@@ -37,7 +37,6 @@ class CircuitDag:
                     self.successors[prev].add(idx)
                 last_on_qubit[q] = idx
         self._layers: Optional[List[List[int]]] = None
-        self._gate_layer: Optional[List[int]] = None
         self._weight_pairs: Optional[List[Tuple[Tuple[int, int], ...]]] = None
 
     def __len__(self) -> int:
@@ -52,20 +51,7 @@ class CircuitDag:
         """ASAP layers of gate indices (cached)."""
         if self._layers is None:
             self._layers = self.circuit.layers()
-            self._gate_layer = [0] * len(self.circuit)
-            for layer_idx, layer in enumerate(self._layers):
-                for gate_idx in layer:
-                    self._gate_layer[gate_idx] = layer_idx
         return self._layers
-
-    def gate_layer(self, idx: int) -> int:
-        """ASAP layer index of gate ``idx``."""
-        self.layers()
-        assert self._gate_layer is not None
-        return self._gate_layer[idx]
-
-    def roots(self) -> List[int]:
-        return [i for i in range(len(self)) if not self.predecessors[i]]
 
     def weight_pairs(self, idx: int) -> Tuple[Tuple[int, int], ...]:
         """Operand pairs of gate ``idx`` that carry lookahead weight.

@@ -77,18 +77,10 @@ class CompilerConfig:
             RADIUS_FUNCTIONS[self.restriction_radius], self.zone_scale
         )
 
-    @property
-    def decompose_to_two_qubit(self) -> bool:
-        return self.native_max_arity == 2
-
     # -- variants ----------------------------------------------------------------
 
     def with_mid(self, max_interaction_distance: float) -> "CompilerConfig":
         return replace(self, max_interaction_distance=max_interaction_distance)
-
-    def without_zones(self) -> "CompilerConfig":
-        """The idealized fully-parallel baseline of Fig 5."""
-        return replace(self, restriction_radius="none")
 
     def decomposed(self) -> "CompilerConfig":
         """Force lowering to one- and two-qubit gates (Fig 6 baseline)."""

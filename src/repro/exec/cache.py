@@ -27,7 +27,7 @@ strategies replace their program, never mutate it).
 from __future__ import annotations
 
 import pickle
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.circuits.circuit import Circuit
 from repro.core.compiler import LoweredCircuit, stage_config
@@ -77,10 +77,6 @@ class CompileCache:
             self.disk.write(key, pickle.dumps(
                 program, protocol=pickle.HIGHEST_PROTOCOL))
 
-    def clear_memory(self) -> None:
-        self._memory.clear()
-        self.metrics_memo.clear()
-
     def stats(self) -> dict:
         return {
             "memory_hits": self.memory_hits,
@@ -108,13 +104,6 @@ class CompileCache:
         return program
 
     # -- disk-tier maintenance ---------------------------------------------------
-
-    def disk_entries(self) -> List[Tuple[str, int, float]]:
-        """Every persisted entry as ``(path, bytes, mtime)``."""
-        if self.disk is None:
-            return []
-        return [(path, size, mtime)
-                for _, path, size, mtime in self.disk.entries()]
 
     def disk_stats(self) -> dict:
         if self.disk is None:

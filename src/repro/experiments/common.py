@@ -74,9 +74,6 @@ class SavingsRow:
     mean_saving: float
     std_saving: float
 
-    def as_tuple(self):
-        return (self.benchmark, self.mid, self.mean_saving, self.std_saving)
-
 
 def savings_over_baseline(
     benchmark: str,

@@ -75,14 +75,6 @@ class Grid:
             caches.positions = [divmod(s, cols) for s in range(self.num_sites)]
         return caches.positions
 
-    def site_at(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"position ({row}, {col}) outside grid")
-        return row * self.cols + col
-
-    def in_bounds(self, row: int, col: int) -> bool:
-        return 0 <= row < self.rows and 0 <= col < self.cols
-
     def sites(self) -> Iterator[int]:
         return iter(range(self.num_sites))
 
@@ -119,9 +111,6 @@ class Grid:
         the "13" of its sweeps.
         """
         return math.hypot(self.rows - 1, self.cols - 1)
-
-    def center_site(self) -> int:
-        return self.site_at(self.rows // 2, self.cols // 2)
 
     def sites_by_center_distance(self) -> List[int]:
         """All sites ordered by distance from the grid's geometric center.

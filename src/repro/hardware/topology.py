@@ -150,35 +150,6 @@ class Topology:
 
     # -- graph queries ------------------------------------------------------------
 
-    def is_connected(self) -> bool:
-        """Whether the active-site interaction graph is one component."""
-        active = self.active_sites()
-        if not active:
-            return True
-        seen = {active[0]}
-        queue = deque([active[0]])
-        while queue:
-            site = queue.popleft()
-            for nbr in self.neighbors(site):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-        return len(seen) == len(active)
-
-    def hop_distances_from(self, source: int) -> Dict[int, int]:
-        """BFS hop counts from ``source`` over the active interaction graph."""
-        if not self.is_active(source):
-            raise ValueError(f"source site {source} is not active")
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            site = queue.popleft()
-            for nbr in self.neighbors(site):
-                if nbr not in dist:
-                    dist[nbr] = dist[site] + 1
-                    queue.append(nbr)
-        return dist
-
     def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
         """Shortest active-site path (by hops) from ``source`` to ``target``.
 

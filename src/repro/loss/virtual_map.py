@@ -65,14 +65,6 @@ class VirtualMap:
         """Physical site currently playing ``role``."""
         return self.role_to_site[role]
 
-    def occupied_sites(self) -> set:
-        """A fresh set of the occupied sites.  Membership tests should ask
-        ``site_to_role``, whose keys are exactly these sites."""
-        return set(self.role_to_site.values())
-
-    def role_at(self, site: int) -> Optional[int]:
-        return self.site_to_role.get(site)
-
     # -- the shift ------------------------------------------------------------------
 
     def _line(self, site: int, direction: Tuple[int, int]) -> Tuple[int, ...]:

@@ -54,11 +54,6 @@ def disks_overlap(c1: Point, r1: float, c2: Point, r2: float) -> bool:
     return euclidean(c1, c2) < r1 + r2 - EPS
 
 
-def chebyshev(a: Point, b: Point) -> float:
-    """Chebyshev (L-infinity) distance; used for coarse neighbor pruning."""
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def bounding_box(points: Iterable[Point]) -> Tuple[float, float, float, float]:
     """Axis-aligned bounding box ``(min_x, min_y, max_x, max_y)``."""
     pts = list(points)

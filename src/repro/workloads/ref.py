@@ -45,10 +45,6 @@ class WorkloadRef:
                 "a circuit digest fixes the program; size= does not apply"
             )
 
-    @property
-    def is_circuit(self) -> bool:
-        return self.digest is not None
-
     @staticmethod
     def parse(value: Union[str, "WorkloadRef"]) -> "WorkloadRef":
         """Parse ``"fam"``, ``"fam@N"``, or ``"circuit:<digest>"``.

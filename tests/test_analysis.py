@@ -67,16 +67,6 @@ class TestArchCache:
         assert first.cache_stats()["misses"] == 1
         assert second.cache_stats()["misses"] == 1
 
-    def test_clear_memory_empties_the_memo(self):
-        session = Session()
-        with session.activate():
-            compiled_metrics("bv", 10, NA)
-            assert session.cache.metrics_memo
-            session.cache.clear_memory()
-            assert not session.cache.metrics_memo
-            compiled_metrics("bv", 10, NA)
-        assert session.cache_stats()["misses"] == 2
-
     def test_arch_distinguished(self):
         a = compiled_metrics("bv", 10, NA)
         b = compiled_metrics("bv", 10, SC)

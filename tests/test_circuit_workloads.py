@@ -164,7 +164,7 @@ class TestWorkloadRef:
     def test_parse_family(self):
         ref = WorkloadRef.parse("bv")
         assert ref == WorkloadRef(family="bv")
-        assert not ref.is_circuit
+        assert ref.digest is None
         assert str(ref) == "bv"
 
     def test_parse_family_at_size(self):
@@ -175,7 +175,7 @@ class TestWorkloadRef:
     def test_parse_circuit_ref(self):
         digest = circuit_digest(_sample_circuit())
         ref = WorkloadRef.parse(f"circuit:{digest}")
-        assert ref.is_circuit and ref.digest == digest
+        assert ref.digest == digest
         assert str(ref) == f"circuit:{digest}"
 
     def test_parse_is_idempotent_on_refs(self):

@@ -16,7 +16,7 @@ class TestConfigValidation:
     def test_defaults_valid(self):
         config = CompilerConfig()
         assert config.max_interaction_distance == 3.0
-        assert not config.decompose_to_two_qubit
+        assert config.native_max_arity == 3
 
     @pytest.mark.parametrize("kwargs", [
         dict(max_interaction_distance=0.5),
@@ -43,8 +43,9 @@ class TestConfigValidation:
     def test_variants(self):
         config = CompilerConfig()
         assert config.with_mid(5.0).max_interaction_distance == 5.0
-        assert config.without_zones().restriction_model().disabled
-        assert config.decomposed().decompose_to_two_qubit
+        assert CompilerConfig(
+            restriction_radius="none").restriction_model().disabled
+        assert config.decomposed().native_max_arity == 2
 
     def test_sc_like_preset(self):
         config = CompilerConfig.superconducting_like()

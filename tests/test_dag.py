@@ -25,10 +25,6 @@ class TestDagStructure:
         assert dag.successors[1] == {2}
         assert dag.successors[2] == set()
 
-    def test_roots(self):
-        dag = CircuitDag(chain_circuit())
-        assert dag.roots() == [0, 3]
-
     def test_multi_predecessor(self):
         c = Circuit(3, [h(0), h(1), cx(0, 1)])
         dag = CircuitDag(c)
@@ -41,10 +37,7 @@ class TestDagStructure:
 
     def test_gate_layer(self):
         dag = CircuitDag(chain_circuit())
-        assert dag.gate_layer(0) == 0
-        assert dag.gate_layer(1) == 1
-        assert dag.gate_layer(2) == 2
-        assert dag.gate_layer(3) == 0
+        assert dag.layers() == [[0, 3], [1], [2]]
 
 
 class TestFrontier:

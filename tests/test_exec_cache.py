@@ -198,19 +198,19 @@ def test_clear_disk_removes_everything(tmp_path):
 
 def test_prune_disk_evicts_lru_first(tmp_path):
     cache = _fill_cache(tmp_path)
-    entries = sorted(cache.disk_entries(), key=lambda e: (e[2], e[0]))
+    entries = sorted(cache.disk.entries(), key=lambda e: (e[3], e[1]))
     # Make the recency order deterministic regardless of filesystem
     # timestamp granularity.
-    for age, (path, _, _) in enumerate(reversed(entries)):
+    for age, (_, path, _, _) in enumerate(reversed(entries)):
         os.utime(path, (1_000_000 + age, 1_000_000 + age))
-    entries = sorted(cache.disk_entries(), key=lambda e: (e[2], e[0]))
-    keep_bytes = entries[-1][1]  # newest entry only
+    entries = sorted(cache.disk.entries(), key=lambda e: (e[3], e[1]))
+    keep_bytes = entries[-1][2]  # newest entry only
     outcome = cache.prune_disk(keep_bytes)
     assert outcome["removed"] == 2
     assert outcome["remaining_entries"] == 1
-    remaining = cache.disk_entries()
+    remaining = cache.disk.entries()
     assert len(remaining) == 1
-    assert remaining[0][0] == entries[-1][0]
+    assert remaining[0][1] == entries[-1][1]
 
 
 def test_prune_disk_same_mtime_ties_break_on_path(tmp_path):
@@ -218,14 +218,14 @@ def test_prune_disk_same_mtime_ties_break_on_path(tmp_path):
     one burst with the *same* mtime; eviction order must stay
     deterministic via the path tie-break, run after run."""
     cache = _fill_cache(tmp_path)
-    paths = sorted(path for path, _, _ in cache.disk_entries())
+    paths = sorted(path for _, path, _, _ in cache.disk.entries())
     for path in paths:
         os.utime(path, (1_000_000, 1_000_000))  # exact three-way tie
-    keep_two = sum(size for _, size, _ in cache.disk_entries()) - 1
+    keep_two = sum(size for _, _, size, _ in cache.disk.entries()) - 1
     outcome = cache.prune_disk(keep_two)
     assert outcome["removed"] == 1
     # The lexicographically smallest path is evicted first.
-    assert sorted(p for p, _, _ in cache.disk_entries()) == paths[1:]
+    assert sorted(p for _, p, _, _ in cache.disk.entries()) == paths[1:]
 
 
 def test_prune_disk_noop_under_budget(tmp_path):
@@ -240,7 +240,7 @@ def test_clear_and_prune_sweep_orphaned_temp_files(tmp_path):
     files; maintenance must reclaim them or the tier stays over budget
     forever."""
     cache = _fill_cache(tmp_path)
-    shard = os.path.dirname(cache.disk_entries()[0][0])
+    shard = os.path.dirname(cache.disk.entries()[0][1])
     orphan = os.path.join(shard, ".tmp-orphan.pkl")
     with open(orphan, "wb") as handle:
         handle.write(b"x" * 100)
@@ -261,7 +261,7 @@ def test_clear_and_prune_sweep_orphaned_temp_files(tmp_path):
 def test_prune_keeps_fresh_temp_files(tmp_path):
     """A temp file a live writer just created must not be swept."""
     cache = _fill_cache(tmp_path)
-    shard = os.path.dirname(cache.disk_entries()[0][0])
+    shard = os.path.dirname(cache.disk.entries()[0][1])
     in_flight = os.path.join(shard, ".tmp-inflight.pkl")
     with open(in_flight, "wb") as handle:
         handle.write(b"x")
@@ -274,7 +274,7 @@ def test_clear_keeps_same_second_temp_files(tmp_path):
     file a live writer touched in the same second as the clear used to
     fall to the `<=` cutoff and be swept mid-write.  It must survive."""
     cache = _fill_cache(tmp_path)
-    shard = os.path.dirname(cache.disk_entries()[0][0])
+    shard = os.path.dirname(cache.disk.entries()[0][1])
     in_flight = os.path.join(shard, ".tmp-live-writer.pkl")
     with open(in_flight, "wb") as handle:
         handle.write(b"x")  # mtime == "now", possibly floored to 1s

@@ -11,6 +11,11 @@ checked here with ``ast``:
 * no code without a caller: every ``def`` and ``class`` under
   ``src/repro`` is named somewhere besides its own definition, in the
   sources, tests, benchmarks or examples.  Dunders are exempt.
+* no code only tests reach: outside ``tests/`` too, unless
+  ``TEST_ORACLES`` says why a test needs it, or ``AWAITING_DELETION``
+  names it.  The scanner counts words, so a test-side local variable
+  that shares a name hides the definition from the first check; this
+  one never reads the tests.
 
 A third check keeps every HTTP request of the serve-protocol clients in
 one function.
@@ -25,6 +30,39 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 #: Where a name in ``src/repro`` may be used.
 CALLER_ROOTS = ("src", "tests", "perfbench", "benchmarks", "examples")
+
+#: Definitions only tests reach that stay: documented API, references
+#: a test checks other code against, or values a paper-claim test reads.
+TEST_ORACLES = {
+    "circuit_qasm": "README documents RemoteSession.circuit_qasm",
+    "decode_sum": "reads a Cuccaro/QFT adder's sum to check the circuit",
+    "expected_cut": "QAOA cut expectation the workload test checks",
+    "cnu_expected_toffolis": "Toffoli count the CNU builder is checked "
+                             "against",
+    "probability_of": "statevector probability the simulator tests read",
+    "is_unitary_gate": "which gates the statevector simulator accepts",
+    "max_parallel_gates": "zone semantics checked against the paper's "
+                          "Fig 1",
+    "success_ratio_to_random": "the Fig 7 margin over random outcomes",
+    "expected_losses_per_shot": "loss-model rate the sampler is checked "
+                                "against",
+    "swap_advantage": "2D-vs-1D SWAP claim (ext-geometry)",
+    "reloads_per_success": "reload claim (ext-ejection-readout)",
+    "std_fraction": "loss-tolerance spread claim (fig10 runner)",
+}
+
+#: Reached only by their own unit tests; each goes, with that test, in
+#: a later change (ROADMAP 7(d)).
+AWAITING_DELETION = {
+    "multiqubit_gate_count": "Circuit",
+    "used_qubits": "Circuit",
+    "with_final_measurements": "Circuit",
+    "gate_span": "repro.core.routing",
+    "total_weight": "InteractionWeights",
+    "with_reload_time": "TimingModel",
+    "improved": "LossModel",
+    "translate_sites": "VirtualMap",
+}
 
 
 def _module_imports(tree):
@@ -169,15 +207,24 @@ def test_scanner_flags_only_definitions_without_callers(tmp_path):
         "def tested():\n"
         "    pass\n"
         "class Orphan:\n"
+        "    pass\n"
+        "def shadowed():\n"
         "    pass\n",
         encoding="utf-8")
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_mod.py").write_text(
-        "from pkg.mod import Used, tested\n", encoding="utf-8")
+        "from pkg.mod import Used, tested\n"
+        "shadowed = 1  # a local that only shares the name\n",
+        encoding="utf-8")
     found = uncalled_definitions(package, [tmp_path / "src", tests])
     assert [(line, name) for _, line, name in found] == [
         (4, "orphan_method"), (12, "Orphan")]
+    # Without the tests, what only they reach (or seem to) shows.
+    found = uncalled_definitions(package, [tmp_path / "src"])
+    assert [(line, name) for _, line, name in found] == [
+        (4, "orphan_method"), (10, "tested"), (12, "Orphan"),
+        (14, "shadowed")]
 
 
 def test_every_definition_has_a_caller():
@@ -185,6 +232,20 @@ def test_every_definition_has_a_caller():
     assert not found, "definitions nothing uses:\n" + "\n".join(
         f"{path.relative_to(SRC.parent)}:{line}: {name}"
         for path, line, name in found)
+
+
+def test_no_definition_only_tests_reach():
+    roots = [REPO / root for root in CALLER_ROOTS if root != "tests"]
+    found = uncalled_definitions(SRC, roots)
+    unexplained = [f"{path.relative_to(SRC.parent)}:{line}: {name}"
+                   for path, line, name in found
+                   if name not in TEST_ORACLES
+                   and name not in AWAITING_DELETION]
+    assert not unexplained, "definitions only tests reach:\n" + "\n".join(
+        unexplained)
+    stale = (set(TEST_ORACLES) | set(AWAITING_DELETION)) - {
+        name for _, _, name in found}
+    assert not stale, f"listed but no longer test-only: {sorted(stale)}"
 
 
 def test_one_transport_for_every_client():

@@ -84,8 +84,8 @@ class ReferenceVirtualMap(VirtualMap):
         active_line: List[int] = []
         spares: List[int] = []
         row, col = row + d_row, col + d_col
-        while grid.in_bounds(row, col):
-            candidate = grid.site_at(row, col)
+        while 0 <= row < grid.rows and 0 <= col < grid.cols:
+            candidate = row * grid.cols + col
             if self.topology.is_active(candidate):
                 active_line.append(candidate)
                 if candidate not in self.site_to_role:
@@ -163,10 +163,10 @@ class ReferenceRemapMixin:
     def current_used_sites(self) -> set:
         if self.virtual_map is None:
             raise RuntimeError("strategy not started; call begin() first")
-        return self.virtual_map.occupied_sites()
+        return set(self.virtual_map.site_to_role)
 
     def on_loss(self, site: int) -> LossOutcome:
-        occupied = self.virtual_map.occupied_sites()
+        occupied = set(self.virtual_map.site_to_role)
         if site not in occupied:
             return LossOutcome.spare_loss()
         try:

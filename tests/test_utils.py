@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils.geometry import (
     bounding_box,
-    chebyshev,
     disks_overlap,
     euclidean,
     max_pairwise_distance,
@@ -60,9 +59,6 @@ class TestRng:
 class TestGeometry:
     def test_euclidean(self):
         assert euclidean((0, 0), (3, 4)) == pytest.approx(5.0)
-
-    def test_chebyshev(self):
-        assert chebyshev((0, 0), (2, 5)) == 5
 
     def test_max_pairwise(self):
         pts = [(0, 0), (0, 1), (0, 5)]

@@ -16,9 +16,9 @@ class TestIdentityStart:
         _, vmap = fresh(roles=(1, 2, 3))
         for role in (1, 2, 3):
             assert vmap.physical(role) == role
-        assert vmap.occupied_sites() == {1, 2, 3}
-        assert vmap.role_at(2) == 2
-        assert vmap.role_at(0) is None
+        assert set(vmap.site_to_role) == {1, 2, 3}
+        assert vmap.site_to_role[2] == 2
+        assert 0 not in vmap.site_to_role
 
     def test_translate_sites(self):
         _, vmap = fresh(roles=(1, 2))
@@ -53,7 +53,7 @@ class TestShift:
         topo, vmap = fresh()
         topo.remove_atom(0)
         assert vmap.shift_for_loss(0) == 0
-        assert vmap.occupied_sites() == {5, 6}
+        assert set(vmap.site_to_role) == {5, 6}
 
     def test_single_shift_consumes_spare(self):
         topo, vmap = fresh(roles=(5,))
@@ -62,7 +62,7 @@ class TestShift:
         assert moves == 1
         # East and south tie at 2 spares; east wins by direction order.
         assert vmap.physical(5) == 6
-        assert vmap.role_at(5) is None
+        assert 5 not in vmap.site_to_role
 
     def test_chain_shift(self):
         # Only south has spares (east/west/north atoms removed); roles 5
@@ -116,7 +116,7 @@ class TestShift:
         import numpy as np
         rng = np.random.default_rng(3)
         for _ in range(6):
-            occupied = sorted(vmap.occupied_sites())
+            occupied = sorted(vmap.site_to_role)
             candidates = [s for s in topo.active_sites()]
             site = int(rng.choice(candidates))
             topo.remove_atom(site)
