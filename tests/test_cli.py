@@ -639,11 +639,11 @@ def _maintenance_cases(digests):
     return cases
 
 
-def _digests(inputs):
+def _digests(qasm_texts):
     from repro.circuits import from_qasm
     from repro.circuits.digest import circuit_digest
 
-    return sorted(circuit_digest(from_qasm(text)) for text in inputs[2])
+    return sorted(circuit_digest(from_qasm(text)) for text in qasm_texts)
 
 
 def maintenance_transcript(root, inputs) -> str:
@@ -654,7 +654,7 @@ def maintenance_transcript(root, inputs) -> str:
     import io
 
     blocks = []
-    for index, case in enumerate(_maintenance_cases(_digests(inputs))):
+    for index, case in enumerate(_maintenance_cases(_digests(inputs[2]))):
         directory = root / f"case{index:02d}"
         directory.mkdir()
         _populate(directory, inputs)
@@ -689,7 +689,7 @@ def test_show_resolves_prefixes_one_way(command, outcome, tmp_path, capsys,
     from repro.api.store import canonical_json
 
     _populate(tmp_path, maintenance_inputs)
-    digests = _digests(maintenance_inputs)
+    digests = _digests(maintenance_inputs[2])
     flag, directory = {"store": ("--store-dir", "store"),
                        "circuits": ("--circuit-dir", "circuits"),
                        "trace": ("--trace-dir", "traces")}[command]
@@ -713,7 +713,7 @@ def test_show_resolves_prefixes_one_way(command, outcome, tmp_path, capsys,
         if command == "store":
             assert captured.out == canonical_json(maintenance_inputs[0])
         elif command == "circuits":
-            assert _digests((None, None, [captured.out])) == digests[1:]
+            assert _digests([captured.out]) == digests[1:]
         else:
             assert json.loads(captured.out)["trace"] == TRACE_IDS[2]
         return

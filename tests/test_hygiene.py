@@ -17,7 +17,7 @@ checked here with ``ast``:
   that shares a name hides the definition from the first check; this
   one never reads the tests.
 
-A third check keeps every HTTP request of the serve-protocol clients in
+One more check keeps every HTTP request of the serve-protocol clients in
 one function.
 """
 
