@@ -593,17 +593,17 @@ def _cmd_store(args) -> int:
         if envelope is None:
             print(f"stored entry {key} is unreadable", file=sys.stderr)
             return 2
-        if args.format == "json":
-            # Byte-identical to `run <x> --format json` for this entry.
-            sys.stdout.write(canonical_json(envelope))
-            return 0
         try:
             result = ExperimentResult.from_dict(envelope)
         except (TypeError, ValueError) as error:
             print(f"cannot decode stored entry {key[:16]}…: {error}",
                   file=sys.stderr)
             return 2
-        print(result.format())
+        if args.format == "json":
+            # Byte-identical to `run <x> --format json` for this entry.
+            sys.stdout.write(canonical_json(envelope))
+        else:
+            print(result.format())
         return 0
 
     if args.store_command == "gc":

@@ -150,9 +150,7 @@ def _metrics_task(task: Dict) -> ProgramMetrics:
     )
 
 
-def metrics_grid_map(
-    points: Iterable[MetricPoint], jobs: Optional[int] = None
-) -> None:
+def metrics_grid_map(points: Iterable[MetricPoint]) -> None:
     """Compile a batch of points as one task grid and prime the metrics
     memo — the exec-engine route every compiled-metrics figure driver
     takes before its serial aggregation pass.
@@ -180,8 +178,7 @@ def metrics_grid_map(
         for b, n, a, s in pending
     ]
     for key, metrics in zip(
-        pending, grid_map(_metrics_task, cells, experiment="metrics",
-                          jobs=jobs)
+        pending, grid_map(_metrics_task, cells, experiment="metrics")
     ):
         memo[key] = metrics
 

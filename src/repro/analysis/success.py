@@ -138,7 +138,6 @@ def _serial_ladder(
 
 def size_ladder_grid_map(
     cells: Sequence[Tuple[str, Architecture, Sequence[int]]],
-    jobs: Optional[int] = None,
 ) -> List[List[ProgramMetrics]]:
     """Compile several size ladders through one sweep-engine fan-out.
 
@@ -155,7 +154,7 @@ def size_ladder_grid_map(
     from repro.api.session import current_session
     from repro.exec.engine import run_tasks
 
-    if (jobs if jobs is not None else current_session().jobs) == 1:
+    if current_session().jobs == 1:
         return [_serial_ladder(benchmark, arch, sizes)
                 for benchmark, arch, sizes in cells]
     tasks: List[dict] = []
@@ -167,7 +166,7 @@ def size_ladder_grid_map(
             for size in sizes
         )
         spans.append((start, len(tasks)))
-    results = run_tasks(_ladder_metrics_task, tasks, jobs=jobs)
+    results = run_tasks(_ladder_metrics_task, tasks)
     ladders: List[List[ProgramMetrics]] = []
     for start, end in spans:
         ladder: List[ProgramMetrics] = []
@@ -183,10 +182,9 @@ def size_ladder_metrics(
     benchmark: str,
     arch: Architecture,
     sizes: Sequence[int],
-    jobs: Optional[int] = None,
 ) -> List[ProgramMetrics]:
     """One-cell convenience wrapper over :func:`size_ladder_grid_map`."""
-    return size_ladder_grid_map([(benchmark, arch, sizes)], jobs=jobs)[0]
+    return size_ladder_grid_map([(benchmark, arch, sizes)])[0]
 
 
 def largest_runnable_from(
@@ -229,7 +227,6 @@ def size_curve(
     errors: Sequence[float],
     sizes: Sequence[int],
     threshold: float = SIZE_THRESHOLD,
-    jobs: Optional[int] = None,
 ) -> List[Tuple[float, int]]:
     """(two-qubit error, largest runnable size) pairs for Fig 8.
 
@@ -237,7 +234,7 @@ def size_curve(
     the per-error thresholding is then a cheap serial pass over the
     in-memory metrics.
     """
-    ladder = size_ladder_metrics(benchmark, arch, sizes, jobs=jobs)
+    ladder = size_ladder_metrics(benchmark, arch, sizes)
     return [
         (error, largest_runnable_from(ladder, arch, error, threshold))
         for error in errors

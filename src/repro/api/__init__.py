@@ -4,7 +4,8 @@ structured result contract.
 This package is the seam between the reproduction's internals and
 anything that embeds it — the CLI, services, notebooks:
 
-* :class:`Session` — owns jobs / compile cache / RNG policy, so
+* :class:`Session` — owns the worker count (``jobs``, the one knob
+  that picks inline or spawn-pool execution) and the compile cache, so
   differently-configured runs coexist in one process;
 * :class:`ExperimentSpec` / :func:`all_experiments` — the declarative
   registry every figure, ablation, and extension driver registers into;

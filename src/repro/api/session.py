@@ -1,10 +1,10 @@
 """Session-scoped execution policy.
 
 A :class:`Session` owns everything that used to live in process-wide
-module globals: the worker count for sweep grids, the (two-tier) compile
-cache, and the base RNG policy.  Two sessions with different
-configurations can coexist in one process — the prerequisite for
-embedding the repro as a library in a service:
+module globals: the worker count for sweep grids and the (two-tier)
+compile cache.  Two sessions with different configurations can coexist
+in one process — the prerequisite for embedding the repro as a library
+in a service:
 
     from repro.api import Session
 
@@ -26,7 +26,7 @@ import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterable, List, Optional
+from typing import Optional
 
 from repro.api.circuits import CIRCUIT_DIR_ENV, CircuitStore
 from repro.api.store import ResultStore
@@ -43,28 +43,20 @@ class Session:
     """One self-contained execution configuration.
 
     ``jobs``
-        Worker-process count for sweep grids (default 1 = inline).
+        Worker-process count for sweep grids (default 1 = inline), and
+        the only one: ``run_tasks`` runs inline at 1 (or for a single
+        task) and over a spawn pool of ``min(jobs, tasks)`` otherwise.
     ``cache`` / ``cache_dir``
         The compile cache this session's work goes through.  Pass an
         existing :class:`CompileCache` to share a warm memory tier, or a
         directory for a fresh cache with an on-disk tier (``None`` =
         memory only).
-    ``seed``
-        Optional base RNG seed applied to experiments run through
-        :meth:`run` that accept an ``rng`` parameter; ``None`` keeps
-        each driver's own default, preserving historical output.
     ``store`` / ``store_dir``
         Optional persistent :class:`~repro.api.store.ResultStore` making
         :meth:`run` **read-through**: a previously stored run decodes
         via ``ExperimentResult.from_dict`` instead of recomputing
         (``force=True`` escapes).  ``None`` (the default) always
         recomputes.
-    ``backend``
-        Optional :class:`~repro.exec.engine.ExecBackend` pinning *how*
-        this session's task grids execute (inline, spawn pool, ...).
-        ``None`` (the default) picks inline vs. spawn-pool from
-        ``jobs`` per call — the historical behavior.  A per-call
-        ``run_tasks(jobs=...)`` override still wins over the pin.
     ``circuits`` / ``circuit_dir``
         The content-addressed :class:`~repro.api.circuits.CircuitStore`
         this session resolves ``circuit:<digest>`` workload references
@@ -86,10 +78,8 @@ class Session:
         jobs: int = 1,
         cache_dir: Optional[str] = None,
         cache: Optional[CompileCache] = None,
-        seed: Optional[int] = None,
         store_dir: Optional[str] = None,
         store: Optional[ResultStore] = None,
-        backend=None,
         circuit_dir: Optional[str] = None,
         circuits: Optional[CircuitStore] = None,
         trace_dir: Optional[str] = None,
@@ -105,17 +95,10 @@ class Session:
             raise ValueError("pass circuits or circuit_dir, not both")
         if tracer is not None and trace_dir is not None:
             raise ValueError("pass tracer or trace_dir, not both")
-        if backend is not None and not callable(getattr(backend, "run",
-                                                        None)):
-            raise TypeError(
-                f"backend must be an ExecBackend (object with a run() "
-                f"method), got {backend!r}")
         self.jobs = int(jobs)
         self.cache = cache if cache is not None else CompileCache(cache_dir)
-        self.seed = None if seed is None else int(seed)
         self.store = (store if store is not None
                       else ResultStore(store_dir) if store_dir else None)
-        self.backend = backend
         if circuits is None:
             if circuit_dir is None:
                 circuit_dir = (os.environ.get(CIRCUIT_DIR_ENV)
@@ -148,14 +131,6 @@ class Session:
 
     # -- execution ---------------------------------------------------------------------
 
-    def run_tasks(
-        self, task_fn: Callable, tasks: Iterable, jobs: Optional[int] = None
-    ) -> List:
-        """Fan ``tasks`` over the sweep engine under this session."""
-        from repro.exec.engine import run_tasks
-
-        return run_tasks(task_fn, tasks, jobs=jobs, session=self)
-
     def cached_compile(self, circuit, topology, config=None,
                        persist: bool = True):
         """``compile_circuit`` behind this session's compile cache."""
@@ -183,12 +158,6 @@ class Session:
         from repro.api.registry import get_experiment
 
         spec = get_experiment(experiment)
-        if (
-            self.seed is not None
-            and "rng" not in params
-            and any(p.name == "rng" for p in spec.params)
-        ):
-            params["rng"] = self.seed
         with _obs.root_span(self.tracer, "session.run", service="session",
                             experiment=spec.name,
                             quick=bool(quick)) as run_span:
@@ -231,7 +200,7 @@ class Session:
 
         Every cell goes through :meth:`run`, so cells inherit this
         session's full policy — task grids fan out over the session's
-        backend/jobs, and with a configured store each cell is
+        ``jobs``, and with a configured store each cell is
         **read-through** under its own cell key (a previously stored
         cell replays with zero tasks executed; ``force=True`` recomputes
         every cell).
@@ -272,10 +241,8 @@ class Session:
     def __repr__(self) -> str:
         where = self.cache.path or "memory"
         stored = self.store.path if self.store is not None else None
-        pinned = f", backend={self.backend!r}" if self.backend else ""
         return (f"Session(jobs={self.jobs}, cache={where!r}, "
-                f"seed={self.seed!r}, store={stored!r}, "
-                f"circuits={self.circuits.path!r}{pinned})")
+                f"store={stored!r}, circuits={self.circuits.path!r})")
 
 
 # -- current / default session resolution ------------------------------------------------

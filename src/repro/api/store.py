@@ -14,9 +14,9 @@ lookup, not a recomputation.  A :class:`ResultStore` persists every
 * :data:`repro.exec.keys.SCHEMA_VERSION` (compiler semantics),
 
 so bumping either schema version re-keys every run and silently orphans
-stale entries instead of ever replaying them.  Execution-policy
-parameters (``jobs``) stay out of the key: the determinism contract
-guarantees they never change output.
+stale entries instead of ever replaying them.  The worker count is a
+:class:`repro.api.Session` setting, not an experiment parameter, so it
+never reaches a key: the determinism contract pins output at any count.
 
 Entries use the sharded layout every store shares
 (:class:`repro.exec.diskutil.ShardedDir`): ``<key[:2]>/<key>.json``
@@ -50,11 +50,6 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: The append-only run ledger, at the store root (never an entry).
 LEDGER_NAME = "ledger.jsonl"
-
-#: Parameters that select execution policy, not experiment semantics:
-#: the determinism contract pins output at any worker count, so they
-#: must not fragment store keys.
-NON_SEMANTIC_PARAMS = frozenset({"jobs"})
 
 
 def _storable(value: Any) -> bool:
@@ -112,12 +107,10 @@ def store_key(experiment: str, params: Mapping[str, Any]) -> str:
     parameters — share a key.  Raises ``ValueError`` on parameter values
     (live RNG objects, model instances) with no stable canonical form.
     """
-    semantic = {name: value for name, value in params.items()
-                if name not in NON_SEMANTIC_PARAMS}
-    for name in sorted(semantic):
-        if not _storable(semantic[name]):
+    for name in sorted(params):
+        if not _storable(params[name]):
             raise ValueError(
-                f"parameter {name!r}={semantic[name]!r} has no canonical "
+                f"parameter {name!r}={params[name]!r} has no canonical "
                 "store form; store keys are built from str/int/float/"
                 "bool/None (or tuples of them)"
             )
@@ -128,7 +121,7 @@ def store_key(experiment: str, params: Mapping[str, Any]) -> str:
             _keys.SCHEMA_VERSION,
             experiment,
         ),
-        {name: _tagged(value) for name, value in semantic.items()},
+        {name: _tagged(value) for name, value in params.items()},
     )
 
 

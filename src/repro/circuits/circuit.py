@@ -13,7 +13,7 @@ quantum programs whose control flow is fully known at compile time (§III-A).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.circuits.gates import Gate
 
@@ -125,12 +125,6 @@ class Circuit:
         """
         return Counter(g.arity for g in self._gates if not g.is_measurement)
 
-    def multiqubit_gate_count(self) -> int:
-        return sum(1 for g in self._gates if g.is_multiqubit and not g.is_measurement)
-
-    def used_qubits(self) -> set:
-        return {q for g in self._gates for q in g.qubits}
-
     def parallelism(self) -> float:
         """Mean gates per logical layer — the paper's notion of how
         "inherently parallel" a benchmark is (§IV-A)."""
@@ -153,14 +147,6 @@ class Circuit:
         return Circuit(
             self.num_qubits, (g for g in self._gates if not g.is_measurement)
         )
-
-    def with_final_measurements(self, qubits: Optional[Sequence[int]] = None) -> "Circuit":
-        """Return a copy with ``measure`` appended on ``qubits`` (default all)."""
-        out = self.copy()
-        targets = range(self.num_qubits) if qubits is None else qubits
-        for q in targets:
-            out.append(Gate("measure", (q,)))
-        return out
 
     def __str__(self) -> str:
         body = "\n".join(f"  {g}" for g in self._gates[:50])

@@ -40,19 +40,6 @@ class SwapProposal:
         return (self.site_a, self.site_b)
 
 
-def gate_span(sites: Sequence[int], topology: Topology) -> float:
-    """Max pairwise distance among a gate's operand sites."""
-    rows = topology.grid.distance_rows()
-    best = 0.0
-    for i in range(len(sites)):
-        row = rows[sites[i]]
-        for j in range(i + 1, len(sites)):
-            dist = row[sites[j]]
-            if dist > best:
-                best = dist
-    return best
-
-
 def propose_swap(
     gate_qubits: Sequence[int],
     phi: Dict[int, int],

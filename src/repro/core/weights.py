@@ -47,9 +47,6 @@ class InteractionWeights:
         """All qubits with nonzero weight to ``u`` and those weights."""
         return self._per_qubit.get(u, {})
 
-    def total_weight(self, u: int) -> float:
-        return sum(self._per_qubit.get(u, {}).values())
-
     def heaviest_pair(self) -> Pair:
         if not self._per_qubit:
             raise ValueError("no interactions recorded")

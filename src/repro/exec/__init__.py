@@ -8,13 +8,13 @@ The subsystem has three parts:
 * :mod:`repro.exec.cache` — a two-tier (memory + on-disk) compile cache
   shared by every figure driver, strategy, and worker process;
 * :mod:`repro.exec.engine` — ``run_tasks``: execute a flat task list
-  through an :class:`ExecBackend` (inline or spawn-pool) with results
-  returned in task order;
+  inline or over a spawn pool, as the session's ``jobs`` says, with
+  results returned in task order;
 * :mod:`repro.exec.grid` — ``grid_map``: the declarative layer every
   experiment driver routes through — cells in, canonical keys and
   derived seeds stamped, results out in grid order.
 
-Execution *policy* (worker count, which cache, RNG base) lives on
+Execution *policy* (worker count, which cache) lives on
 :class:`repro.api.Session` objects; the engine and cache resolve the
 active session per call.
 
@@ -29,14 +29,7 @@ from repro.exec.cache import (
     cached_compile,
     get_cache,
 )
-from repro.exec.engine import (
-    ExecBackend,
-    InlineBackend,
-    SpawnPoolBackend,
-    current_jobs,
-    resolve_backend,
-    run_tasks,
-)
+from repro.exec.engine import run_tasks
 from repro.exec.grid import cell_key, grid_map
 from repro.exec.keys import (
     SCHEMA_VERSION,
@@ -49,17 +42,12 @@ from repro.exec.keys import (
 __all__ = [
     "SCHEMA_VERSION",
     "CompileCache",
-    "ExecBackend",
-    "InlineBackend",
-    "SpawnPoolBackend",
     "cached_compile",
     "cell_key",
     "compile_key",
-    "current_jobs",
     "derive_seed",
     "grid_map",
     "get_cache",
-    "resolve_backend",
     "run_tasks",
     "task_grid",
     "task_key",

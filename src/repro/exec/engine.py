@@ -2,18 +2,12 @@
 
 Experiment drivers describe their work as a flat list of picklable task
 dicts (built with :func:`repro.exec.keys.task_grid`) plus a module-level
-task function; :func:`run_tasks` executes the list through an
-:class:`ExecBackend` — inline (:class:`InlineBackend`) or fanned out
-over a spawn-context ``ProcessPoolExecutor``
-(:class:`SpawnPoolBackend`).
-
-The backend is the seam "a backend = a Session policy" refers to: a
-:class:`repro.api.Session` may pin one explicitly (``Session(backend=
-InlineBackend())``), and anything that executes task grids — the CLI,
-the serving layer's job queue, a fleet worker — selects execution by
-configuring its session, never by branching inside a driver.  When no
-backend is pinned, ``run_tasks`` picks inline vs. spawn-pool from the
-session's ``jobs`` count, exactly as it always has.
+task function; :func:`run_tasks` executes the list inline, or fanned out
+over a spawn-context ``ProcessPoolExecutor``.  The active session's
+``jobs`` is the one setting that picks between them: anything that
+executes task grids — the CLI, the serving layer's job queue, a fleet
+worker — selects execution by configuring its session, never by
+branching inside a driver.
 
 Execution policy — worker count and compile cache — belongs to the
 active :class:`repro.api.Session`; ``run_tasks`` resolves it per call,
@@ -39,13 +33,6 @@ import multiprocessing
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional
-
-
-def current_jobs() -> int:
-    """The active session's worker count."""
-    from repro.api.session import current_session
-
-    return current_session().jobs
 
 
 def _worker_init(cache_dir: Optional[str],
@@ -100,148 +87,70 @@ def _reclaim_interrupted_temp_files(cache) -> None:
         cache.disk.sweep_temp_files(max_age_seconds=1.0)
 
 
-class ExecBackend:
-    """How a flat task list actually executes.
+def _run_pool(task_fn: Callable, tasks: List, session, jobs: int) -> List:
+    """Fan ``tasks`` over a spawn-context pool of ``jobs`` workers."""
+    from repro.obs import trace as _trace
 
-    One instance is stateless execution *mechanism*; everything that is
-    *policy* (which cache, how many jobs, RNG base) stays on the
-    :class:`repro.api.Session` the backend receives.  Implementations
-    must uphold the engine contract: results in task order, exceptions
-    propagated, and bitwise-identical output for any backend whenever
-    tasks derive their seeds from canonical keys.
-    """
+    # Trace context crosses the spawn boundary only when the sink is
+    # a directory workers can append to themselves (an in-memory
+    # buffer in the parent is unreachable from another process).
+    worker_trace = None
+    active = _trace.current()
+    if active is not None:
+        sink_path = getattr(active.tracer.sink, "path", None)
+        if sink_path is not None:
+            worker_trace = (sink_path, active.trace_id, active.span_id)
 
-    #: Short human-readable name (diagnostics, ``repr``).
-    name = "abstract"
-
-    def run(self, task_fn: Callable, tasks: List, session) -> List:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class InlineBackend(ExecBackend):
-    """Execute every task in the calling thread, under the session."""
-
-    name = "inline"
-
-    def run(self, task_fn: Callable, tasks: List, session) -> List:
-        try:
-            with session.activate():
-                return [task_fn(task) for task in tasks]
-        except KeyboardInterrupt:
+    context = multiprocessing.get_context("spawn")
+    pool = ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=context,
+        initializer=_worker_init,
+        initargs=(session.cache.path, session.circuits.path, worker_trace),
+    )
+    try:
+        futures = [pool.submit(task_fn, task) for task in tasks]
+        return [future.result() for future in futures]
+    except BaseException as error:
+        # Fail fast: don't let a 200-cell grid grind on for minutes
+        # after cell 3 has already doomed the sweep.
+        pool.shutdown(wait=True, cancel_futures=True)
+        if isinstance(error, KeyboardInterrupt):
+            # Every worker has exited: reclaim the temp files of any
+            # writer the interrupt killed mid-write, so Ctrl-C leaves
+            # no orphaned .tmp-* litter in the shared cache directory.
             _reclaim_interrupted_temp_files(session.cache)
-            raise
+        raise
+    finally:
+        pool.shutdown(wait=True)
 
 
-class SpawnPoolBackend(ExecBackend):
-    """Fan tasks over a spawn-context ``ProcessPoolExecutor``.
-
-    ``jobs=None`` (the default) sizes the pool from the session's
-    ``jobs`` at run time; a fixed ``jobs`` pins it.  A run whose
-    effective worker count collapses to one (a single task, or
-    ``jobs=1``) delegates to :class:`InlineBackend` — identical results
-    either way, without pool startup cost.
-    """
-
-    name = "spawn-pool"
-
-    def __init__(self, jobs: Optional[int] = None):
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def __repr__(self) -> str:
-        return f"SpawnPoolBackend(jobs={self.jobs!r})"
-
-    def run(self, task_fn: Callable, tasks: List, session) -> List:
-        jobs = self.jobs if self.jobs is not None else session.jobs
-        jobs = max(1, min(int(jobs), len(tasks))) if tasks else 1
-        if jobs == 1:
-            return INLINE.run(task_fn, tasks, session)
-
-        from repro.obs import trace as _trace
-
-        # Trace context crosses the spawn boundary only when the sink is
-        # a directory workers can append to themselves (an in-memory
-        # buffer in the parent is unreachable from another process).
-        worker_trace = None
-        active = _trace.current()
-        if active is not None:
-            sink_path = getattr(active.tracer.sink, "path", None)
-            if sink_path is not None:
-                worker_trace = (sink_path, active.trace_id, active.span_id)
-
-        context = multiprocessing.get_context("spawn")
-        pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(session.cache.path, session.circuits.path,
-                      worker_trace),
-        )
-        try:
-            futures = [pool.submit(task_fn, task) for task in tasks]
-            return [future.result() for future in futures]
-        except BaseException as error:
-            # Fail fast: don't let a 200-cell grid grind on for minutes
-            # after cell 3 has already doomed the sweep.
-            pool.shutdown(wait=True, cancel_futures=True)
-            if isinstance(error, KeyboardInterrupt):
-                # Every worker has exited: reclaim the temp files of any
-                # writer the interrupt killed mid-write, so Ctrl-C
-                # leaves no orphaned .tmp-* litter in the shared cache
-                # directory.
-                _reclaim_interrupted_temp_files(session.cache)
-            raise
-        finally:
-            pool.shutdown(wait=True)
-
-
-#: Shared stateless singleton for the inline path.
-INLINE = InlineBackend()
-
-
-def resolve_backend(session, jobs: Optional[int] = None) -> ExecBackend:
-    """The backend a ``run_tasks`` call will execute through.
-
-    An explicit ``jobs`` argument wins (it is a per-call override, same
-    as it always was); otherwise a backend pinned on the session wins;
-    otherwise the session's ``jobs`` count picks inline vs. spawn-pool.
-    """
-    if jobs is not None:
-        return INLINE if int(jobs) <= 1 else SpawnPoolBackend(int(jobs))
-    pinned = getattr(session, "backend", None)
-    if pinned is not None:
-        return pinned
-    return INLINE if session.jobs <= 1 else SpawnPoolBackend()
-
-
-def run_tasks(
-    task_fn: Callable,
-    tasks: Iterable,
-    jobs: Optional[int] = None,
-    session=None,
-) -> List:
+def run_tasks(task_fn: Callable, tasks: Iterable) -> List:
     """Run ``task_fn`` over every task, returning results in task order.
 
+    The active :class:`repro.api.Session` supplies the worker count and
+    the cache directory workers share.  ``session.jobs == 1``, or a list
+    of at most one task, runs inline in the calling thread; otherwise a
+    spawn pool of ``min(jobs, len(tasks))`` workers runs it, so
     ``task_fn`` must be a module-level callable and each task picklable
-    under a process-pool backend (spawn-based workers re-import the
-    module).  A task raising an exception propagates it to the caller.
-    ``session`` defaults to the active :class:`repro.api.Session`, which
-    supplies the backend (or the worker count to pick one) and the cache
-    directory workers share.
+    (spawned workers re-import the module).  A task raising an
+    exception propagates it to the caller.
     """
     from repro.api.session import current_session
     from repro.obs import trace as _trace
 
-    if session is None:
-        session = current_session()
+    session = current_session()
     tasks = list(tasks)
     # Parent-side dispatch counter: a store-replayed experiment must be
     # able to prove it executed zero tasks.
     session.tasks_executed += len(tasks)
-    backend = resolve_backend(session, jobs)
-    with _trace.span("tasks", backend=backend.name, count=len(tasks)):
-        return backend.run(task_fn, tasks, session)
+    jobs = min(session.jobs, len(tasks))
+    with _trace.span("tasks", backend="spawn-pool" if jobs > 1 else "inline",
+                     count=len(tasks)):
+        if jobs > 1:
+            return _run_pool(task_fn, tasks, session, jobs)
+        try:
+            return [task_fn(task) for task in tasks]
+        except KeyboardInterrupt:
+            _reclaim_interrupted_temp_files(session.cache)
+            raise

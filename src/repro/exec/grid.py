@@ -105,8 +105,6 @@ def grid_map(
     experiment: str,
     base_seed: int = 0,
     key_fields: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    session=None,
 ) -> List:
     """Run ``task_fn`` over every cell, results in cell order.
 
@@ -114,7 +112,7 @@ def grid_map(
     stamped with ``seed = derive_seed(cell_key(experiment, cell,
     key_fields), base_seed)`` and fanned out over
     :func:`repro.exec.engine.run_tasks` under the active
-    :class:`repro.api.Session` (or ``session``/``jobs`` overrides).
+    :class:`repro.api.Session`, whose ``jobs`` sets the worker count.
     ``task_fn`` must be module-level and each stamped cell picklable
     when running with more than one worker.
 
@@ -128,4 +126,4 @@ def grid_map(
                                   base=base_seed))
         for cell in cells
     ]
-    return run_tasks(task_fn, tasks, jobs=jobs, session=session)
+    return run_tasks(task_fn, tasks)

@@ -11,7 +11,7 @@ lookahead should shrink as the MID grows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -119,7 +119,6 @@ def run(
     program_size: int = 30,
     windows: Sequence[int] = WINDOWS,
     decays: Sequence[float] = (1.0,),
-    jobs: Optional[int] = None,
 ) -> LookaheadResult:
     """Run the lookahead ablation as one task grid over the exec engine."""
     cells = [
@@ -132,7 +131,6 @@ def run(
     ]
     return LookaheadResult(points=grid_map(
         compile_lookahead_point, cells, experiment="ablation-lookahead",
-        jobs=jobs,
     ))
 
 

@@ -18,7 +18,7 @@ device:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -129,7 +129,6 @@ def run(
     margins: Sequence[float] = (1.0, 2.0, 3.0),
     trials: int = 3,
     rng: RngLike = 0,
-    jobs: Optional[int] = None,
 ) -> MarginResult:
     """Sweep the compile-small margin as a task grid over the exec
     engine (each margin's trials seeded from its canonical cell key)."""
@@ -143,7 +142,7 @@ def run(
         true_mid=true_mid,
         points=grid_map(measure_margin_point, cells,
                         experiment="ablation-margin",
-                        base_seed=base_seed_from(rng), jobs=jobs),
+                        base_seed=base_seed_from(rng)),
     )
 
 

@@ -15,7 +15,7 @@ Depth must be monotone in both knobs; gate counts should be unaffected
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -115,7 +115,6 @@ def run(
     mid: float = 4.0,
     radius_functions: Sequence[str] = RADIUS_FUNCTIONS,
     zone_scales: Sequence[float] = ZONE_SCALES,
-    jobs: Optional[int] = None,
 ) -> ZoneAblationResult:
     """Run the zone ablation as one task grid over the exec engine.
 
@@ -130,7 +129,7 @@ def run(
         for scale in (zone_scales if radius != "none" else (1.0,))
     ]
     return ZoneAblationResult(points=grid_map(
-        compile_zone_point, cells, experiment="ablation-zones", jobs=jobs,
+        compile_zone_point, cells, experiment="ablation-zones",
     ))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -82,7 +82,6 @@ def run(
     grid_sides: Sequence[int] = (6, 10, 14),
     fill_fraction: float = 0.4,
     tolerance: float = 0.05,
-    jobs: Optional[int] = None,
 ) -> ScalingResult:
     """Measure the saturation MID on each device size.
 
@@ -99,7 +98,7 @@ def run(
         for mid in _device_mids(side)
     ]
     gate_counts = iter(grid_map(
-        compile_gate_count, cells, experiment="ext-scaling", jobs=jobs,
+        compile_gate_count, cells, experiment="ext-scaling",
     ))
     result = ScalingResult()
     for side in grid_sides:

@@ -12,7 +12,7 @@ reload pressure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -62,7 +62,6 @@ def run(
     strategies: Sequence[str] = ("always reload", "c. small+reroute"),
     shots: int = 150,
     rng: RngLike = 0,
-    jobs: Optional[int] = None,
 ) -> EjectionResult:
     """Compare strategies under ejection readout at two program sizes.
 
@@ -97,7 +96,6 @@ def run(
     result = EjectionResult()
     for label, run_result in zip(labels, run_shot_grid_map(
         cells, experiment="ext-ejection", base_seed=base_seed_from(rng),
-        jobs=jobs,
     )):
         result.runs[label] = run_result
     return result

@@ -11,7 +11,7 @@ for 2D tweezer arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -111,7 +111,6 @@ def run(
     grid_side: int = 6,
     mids: Sequence[float] = (2.0, 3.0),
     fill_fraction: float = 0.6,
-    jobs: Optional[int] = None,
 ) -> GeometryResult:
     """Compile onto a 1 x side^2 chain and a side x side square, as one
     task grid over the exec engine."""
@@ -128,7 +127,7 @@ def run(
         )
     ]
     return GeometryResult(points=grid_map(
-        compile_geometry_point, cells, experiment="ext-geometry", jobs=jobs,
+        compile_geometry_point, cells, experiment="ext-geometry",
     ))
 
 

@@ -21,7 +21,7 @@ coherence budget goes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.architectures import (
     Architecture,
@@ -80,7 +80,6 @@ def run(
     benchmarks: Sequence[str] = tuple(BENCHMARK_ORDER),
     program_size: int = 30,
     na_mid: float = 3.0,
-    jobs: Optional[int] = None,
 ) -> ThreeWayResult:
     """Compile each benchmark on the three architectures.
 
@@ -96,7 +95,6 @@ def run(
     metrics_grid_map(
         [(benchmark, program_size, arch, 0)
          for benchmark in benchmarks for arch in architectures.values()],
-        jobs=jobs,
     )
     result = ThreeWayResult()
     for benchmark in benchmarks:

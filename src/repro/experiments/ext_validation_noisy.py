@@ -10,7 +10,7 @@ benchmarks small enough to simulate exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -98,7 +98,6 @@ def run(
     errors: Sequence[float] = (0.002, 0.01, 0.05),
     shots: int = 400,
     rng: int = 0,
-    jobs: Optional[int] = None,
 ) -> NoisyValidationResult:
     """Compare analytic vs sampled success across a small grid, fanned
     out over the exec engine with key-derived per-cell seeds."""
@@ -110,7 +109,7 @@ def run(
     ]
     return NoisyValidationResult(rows=grid_map(
         sample_validation_row, cells, experiment="ext-noisy-validation",
-        base_seed=base_seed_from(rng), jobs=jobs,
+        base_seed=base_seed_from(rng),
     ))
 
 

@@ -85,7 +85,6 @@ def run(
     strategies: Optional[Sequence[str]] = None,
     trials: int = 5,
     rng: RngLike = 0,
-    jobs: Optional[int] = None,
 ) -> Fig10Result:
     """Regenerate Fig 10 (cells fanned out over the sweep engine).
 
@@ -118,7 +117,6 @@ def run(
         _tolerance_task, cells, experiment="fig10",
         base_seed=base_seed_from(rng),
         key_fields=("benchmark", "strategy", "mid", "program_size", "trials"),
-        jobs=jobs,
     )
     for cell, tolerance in zip(cells, tolerances):
         result.cells[(cell["benchmark"], cell["strategy"], cell["mid"])] = \

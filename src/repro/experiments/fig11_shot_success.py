@@ -12,7 +12,7 @@ starts near 0.6 success, matching the paper's setup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.success import calibrate_two_qubit_error
 from repro.api.registry import register_experiment
@@ -118,7 +118,6 @@ def run(
     program_size: int = PROGRAM_SIZE,
     trials: int = 3,
     rng: RngLike = 0,
-    jobs: Optional[int] = None,
 ) -> Fig11Result:
     """Regenerate Fig 11 (traces averaged pointwise over trials)."""
     from repro.analysis.architectures import (
@@ -164,7 +163,7 @@ def run(
                         for t in range(trials)
                     ],
                 })
-    for task, averaged in zip(tasks, run_tasks(_trace_task, tasks, jobs=jobs)):
+    for task, averaged in zip(tasks, run_tasks(_trace_task, tasks)):
         result.traces[
             (task["benchmark"], task["strategy"], task["mid"])
         ] = averaged

@@ -97,7 +97,6 @@ def run(
     rng: RngLike = 0,
     timing: Optional[TimingModel] = None,
     loss_model: Optional[LossModel] = None,
-    jobs: Optional[int] = None,
 ) -> Fig12Result:
     """Regenerate Fig 12.
 
@@ -159,7 +158,7 @@ def run(
                 timing=timing,
             )))
     for (name, mid, _), run_result in zip(
-        cells, run_shot_specs([spec for _, _, spec in cells], jobs=jobs)
+        cells, run_shot_specs([spec for _, _, spec in cells])
     ):
         result.runs[(name, mid)] = run_result
     return result

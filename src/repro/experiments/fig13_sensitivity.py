@@ -11,7 +11,7 @@ of the process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ def run(
     shots_per_run: int = 400,
     program_size: int = PROGRAM_SIZE,
     rng: RngLike = 0,
-    jobs: Optional[int] = None,
 ) -> Fig13Result:
     """Regenerate Fig 13 (the (MID x factor) grid via the sweep engine)."""
     factors = list(factors) if factors is not None else improvement_factors()
@@ -91,7 +90,7 @@ def run(
                 ),
             )))
     for (mid, factor, _), run_result in zip(
-        cells, run_shot_specs([spec for _, _, spec in cells], jobs=jobs)
+        cells, run_shot_specs([spec for _, _, spec in cells])
     ):
         result.shots_before_reload[(mid, factor)] = (
             run_result.mean_shots_between_reloads

@@ -9,7 +9,6 @@ time, so reducing reload *count* is what matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -59,7 +58,6 @@ def run(
     target_shots: int = TARGET_SHOTS,
     program_size: int = PROGRAM_SIZE,
     rng: RngLike = 7,
-    jobs: Optional[int] = None,
 ) -> Fig14Result:
     """Regenerate Fig 14.
 
@@ -87,7 +85,6 @@ def run(
     )
     [run_result] = run_shot_grid_map(
         [spec], experiment="fig14", base_seed=base_seed_from(rng),
-        jobs=jobs,
     )
     return Fig14Result(run_result=run_result)
 

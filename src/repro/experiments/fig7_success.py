@@ -60,7 +60,6 @@ def run(
     program_size: int = PROGRAM_SIZE,
     na_mid: float = NA_MID,
     error_points: int = 17,
-    jobs: Optional[int] = None,
 ) -> Fig7Result:
     """Regenerate Fig 7.
 
@@ -76,7 +75,6 @@ def run(
     metrics_grid_map(
         [(benchmark, program_size, arch, 0)
          for benchmark in benchmarks for arch in (na, sc)],
-        jobs=jobs,
     )
     for benchmark in benchmarks:
         result.comparisons[benchmark] = compare_architectures(

@@ -61,7 +61,6 @@ def run(
     size_step: int = 10,
     na_mid: float = NA_MID,
     error_points: int = 13,
-    jobs: Optional[int] = None,
 ) -> Fig8Result:
     """Regenerate Fig 8.
 
@@ -81,7 +80,7 @@ def run(
         for benchmark in benchmarks
         for arch in (na, sc)
     ]
-    ladders = size_ladder_grid_map(cells, jobs=jobs)
+    ladders = size_ladder_grid_map(cells)
     for benchmark, (na_ladder, sc_ladder) in zip(
         benchmarks, zip(ladders[0::2], ladders[1::2])
     ):

@@ -15,7 +15,7 @@ benchmark.  Qiskit is unavailable offline; we validate more strongly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.api.registry import register_experiment
 from repro.api.results import ExperimentResult
@@ -99,7 +99,7 @@ def validate_case(task: ValidationTask) -> ValidationRow:
     )
 
 
-def run(jobs: Optional[int] = None) -> ValidationResult:
+def run() -> ValidationResult:
     """Validate the serial (BV) and parallel (CNU) benchmarks on small
     devices, at MID 1 (SC-like) and with zones at MID 2 — one task grid
     over the exec engine."""
@@ -111,7 +111,7 @@ def run(jobs: Optional[int] = None) -> ValidationResult:
         ValidationTask("cuccaro", 6, 2.0, "mid"),
     ]
     return ValidationResult(rows=grid_map(
-        validate_case, cells, experiment="validation", jobs=jobs,
+        validate_case, cells, experiment="validation",
     ))
 
 

@@ -16,7 +16,7 @@ from 0.1x to 100x better than today).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Set, Tuple
 
 import numpy as np
@@ -64,9 +64,6 @@ class LossModel:
     @classmethod
     def none(cls) -> "LossModel":
         return cls(vacuum_loss=0.0, measurement_loss=0.0)
-
-    def improved(self, factor: float) -> "LossModel":
-        return replace(self, improvement_factor=self.improvement_factor * factor)
 
     # -- effective rates -----------------------------------------------------------
 

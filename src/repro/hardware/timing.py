@@ -9,7 +9,7 @@ so the loss runner can account total overhead for a batch of shots
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 
@@ -52,9 +52,6 @@ class TimingModel:
     def swap_duration(self) -> float:
         """A routing SWAP is three two-qubit gates."""
         return 3.0 * self.gate_duration(2)
-
-    def with_reload_time(self, reload_time: float) -> "TimingModel":
-        return replace(self, reload_time=reload_time)
 
     @classmethod
     def paper_defaults(cls) -> "TimingModel":

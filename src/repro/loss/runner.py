@@ -287,11 +287,11 @@ def run_shot_spec(spec: ShotSpec) -> RunResult:
         )
 
 
-def run_shot_specs(specs, jobs: Optional[int] = None) -> List[RunResult]:
+def run_shot_specs(specs) -> List[RunResult]:
     """Run a batch of specs through the sweep engine, in spec order."""
     from repro.exec.engine import run_tasks
 
-    return run_tasks(run_shot_spec, list(specs), jobs=jobs)
+    return run_tasks(run_shot_spec, list(specs))
 
 
 def run_shot_grid_map(
@@ -300,7 +300,6 @@ def run_shot_grid_map(
     experiment: str,
     base_seed: int = 0,
     key_fields=None,
-    jobs: Optional[int] = None,
 ) -> List[RunResult]:
     """Run a batch of specs with key-derived seeds, in spec order.
 
@@ -315,4 +314,4 @@ def run_shot_grid_map(
     from repro.exec.grid import grid_map
 
     return grid_map(run_shot_spec, list(specs), experiment=experiment,
-                    base_seed=base_seed, key_fields=key_fields, jobs=jobs)
+                    base_seed=base_seed, key_fields=key_fields)

@@ -145,7 +145,3 @@ class VirtualMap:
             carried_role = displaced
         self.shift_count += moves
         return moves
-
-    def translate_sites(self, sites) -> Tuple[int, ...]:
-        """Physical sites currently playing the given roles."""
-        return tuple(self.role_to_site[s] for s in sites)

@@ -127,6 +127,18 @@ def _error(status: int, message: str,
     return _json_response(status, payload)
 
 
+def _json_object(body: bytes) -> Dict[str, Any]:
+    """A request body that must be one JSON object (empty reads as
+    ``{}``); ``ValueError`` saying which rule it broke otherwise."""
+    try:
+        payload = json.loads(body or b"{}")
+    except ValueError:
+        raise ValueError("request body must be JSON") from None
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
+    return payload
+
+
 def _jsonable(value: Any) -> Any:
     """A JSON-compatible rendering of a spec default / preset value.
 
@@ -356,11 +368,9 @@ class ServeApp:
 
     def _run(self, body: bytes) -> Response:
         try:
-            request = json.loads(body or b"{}")
-        except ValueError:
-            return _error(400, "request body must be JSON")
-        if not isinstance(request, dict):
-            return _error(400, "request body must be a JSON object")
+            request = _json_object(body)
+        except ValueError as error:
+            return _error(400, str(error))
         experiment = request.get("experiment")
         if not isinstance(experiment, str):
             return _error(400, 'request needs an "experiment" name')
@@ -427,11 +437,9 @@ class ServeApp:
 
     def _sweep_submit(self, body: bytes) -> Response:
         try:
-            request = json.loads(body or b"{}")
-        except ValueError:
-            return _error(400, "request body must be JSON")
-        if not isinstance(request, dict):
-            return _error(400, "request body must be a JSON object")
+            request = _json_object(body)
+        except ValueError as error:
+            return _error(400, str(error))
         experiment = request.get("experiment")
         if not isinstance(experiment, str):
             return _error(400, 'request needs an "experiment" name')
@@ -563,12 +571,7 @@ class ServeApp:
         Raises ``ValueError`` (→ 400) on anything malformed; ``job_id``
         is only required (and validated) when ``need_job`` is set.
         """
-        try:
-            payload = json.loads(body or b"{}")
-        except ValueError:
-            raise ValueError("request body must be JSON") from None
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
+        payload = _json_object(body)
         worker_id = validate_worker_id(payload.get("worker"))
         job_id = payload.get("job")
         if need_job and not isinstance(job_id, str):

@@ -146,9 +146,10 @@ def build_server(
     store (uploaded workloads; defaults to ``<store_dir>/circuits``);
     each job gets its own read-through :class:`Session` (sweeps run
     inline, ``jobs=1`` — concurrency comes from the queue's ``workers``
-    claim loops, not from nested process pools), wired to the shared
-    circuit store so jobs resolve ``circuit:<digest>`` workloads against
-    exactly what was uploaded.  Every job runs under a lease of
+    claim loops, not from nested process pools; the worker count is a
+    session setting, so no request parameter can change it), wired to
+    the shared circuit store so jobs resolve ``circuit:<digest>``
+    workloads against exactly what was uploaded.  Every job runs under a lease of
     ``lease_ttl`` seconds, held by a local loop or by a fleet worker
     (``python -m repro worker``); ``workers=0`` starts no local loops.
     ``trace_dir`` enables end-to-end tracing

@@ -64,12 +64,10 @@ class TestIsolation:
                           program_size=6, grid_side=5, mid=3.0,
                           max_shots=10, seed=derive_seed("t=s"))]
         with serial.activate():
-            from repro.exec.engine import current_jobs
-            assert current_jobs() == 1
+            assert current_session().jobs == 1
             one = run_shot_specs(specs)
         with parallel.activate():
-            from repro.exec.engine import current_jobs
-            assert current_jobs() == 2
+            assert current_session().jobs == 2
             two = run_shot_specs(specs)
         assert one == two  # worker count never changes results
 
@@ -151,9 +149,9 @@ class TestRunExperiment:
         assert set(spec.quick) <= set(spec.param_defaults())
 
     def test_session_seed_policy(self):
-        """Session(seed=N) forwards N as the rng of seed-accepting
-        experiments unless the caller overrides it."""
-        seeded = Session(seed=7).run("fig10", **self.TINY)
+        """``run(..., rng=N)`` is the one way to pick an experiment's base
+        seed, and the default keeps the driver's own."""
+        seeded = Session().run("fig10", rng=7, **self.TINY)
         explicit = fig10_loss_tolerance.run(rng=7, **self.TINY)
         assert seeded.cells.keys() == explicit.cells.keys()
         assert all(
@@ -187,8 +185,9 @@ class TestTaskAccounting:
         with session.activate():
             run_tasks(len, [(1, 2), (3,)])
         assert session.tasks_executed == 2
-        run_tasks(len, [(4,)], session=session)
-        assert session.tasks_executed == 3
+        with Session().activate():
+            run_tasks(len, [(4,)])
+        assert session.tasks_executed == 2
 
     def test_experiment_run_dispatches_tasks(self):
         session = Session()

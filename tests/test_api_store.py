@@ -66,12 +66,13 @@ class TestStoreKey:
         assert base != other
 
     def test_jobs_is_not_semantic(self):
-        """Execution policy must not fragment keys: output is pinned at
-        any worker count."""
+        """The worker count is a Session setting, so no experiment takes
+        it and no store key can carry it."""
+        for spec in all_experiments().values():
+            assert "jobs" not in spec.param_defaults(), spec.name
         spec = all_experiments()["validation"]
-        assert (store_key("validation",
-                          spec.resolved_params(overrides={"jobs": 4}))
-                == store_key("validation", spec.resolved_params()))
+        with pytest.raises(TypeError, match="no parameter"):
+            spec.resolved_params(overrides={"jobs": 4})
 
     def test_schema_version_bumps_rekey_everything(self, monkeypatch):
         spec = all_experiments()["validation"]

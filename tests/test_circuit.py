@@ -87,14 +87,6 @@ class TestMetrics:
         c = ghz(4)
         assert c.gate_counts() == {"h": 1, "cx": 3}
 
-    def test_multiqubit_gate_count(self):
-        c = Circuit(3, [h(0), cx(0, 1), ccx(0, 1, 2)])
-        assert c.multiqubit_gate_count() == 2
-
-    def test_used_qubits(self):
-        c = Circuit(5, [cx(1, 3)])
-        assert c.used_qubits() == {1, 3}
-
     def test_parallelism(self):
         serial = Circuit(4, [cx(i, 3) for i in range(3)])
         parallel = Circuit(4, [cx(0, 1), cx(2, 3)])
@@ -117,15 +109,6 @@ class TestTransforms:
     def test_without_measurements(self):
         c = Circuit(2, [h(0), measure(0), measure(1)])
         assert len(c.without_measurements()) == 1
-
-    def test_with_final_measurements_all(self):
-        c = ghz(3).with_final_measurements()
-        assert sum(1 for g in c if g.is_measurement) == 3
-
-    def test_with_final_measurements_subset(self):
-        c = ghz(3).with_final_measurements([1])
-        measured = [g.qubits[0] for g in c if g.is_measurement]
-        assert measured == [1]
 
     def test_swap_and_rz_roundtrip_in_container(self):
         c = Circuit(2, [swap(0, 1), rz(0.25, 0)])

@@ -119,6 +119,12 @@ class TestListAndErrors:
     def test_bad_jobs_fails(self, capsys):
         assert main(["run", "fig3", "--jobs", "0"]) == 2
 
+    def test_jobs_is_a_flag_not_a_parameter(self, capsys):
+        assert main(["sweep", "ext-trapped-ion", "--quick", "--axis",
+                     "program_size=10", "--set", "jobs=2",
+                     "--no-cache"]) == 2
+        assert "no parameter(s) 'jobs'" in capsys.readouterr().err
+
     def test_unwritable_out_fails_cleanly(self, capsys, tmp_path):
         # The out path *is* a directory: unwritable on every platform,
         # even running as root (where chmod-based denial is a no-op).

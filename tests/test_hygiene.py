@@ -10,7 +10,9 @@ checked here with ``ast``:
   ``# noqa: F401`` are exempt.
 * no code without a caller: every ``def`` and ``class`` under
   ``src/repro`` is named somewhere besides its own definition, in the
-  sources, tests, benchmarks or examples.  Dunders are exempt.
+  sources, tests, benchmarks or examples.  Dunders are exempt, and a
+  package ``__init__.py``'s imports and ``__all__`` are not uses: a
+  re-export only passes a name on.
 * no code only tests reach: outside ``tests/`` too, unless
   ``TEST_ORACLES`` says why a test needs it, or ``AWAITING_DELETION``
   names it.  The scanner counts words, so a test-side local variable
@@ -49,19 +51,23 @@ TEST_ORACLES = {
     "swap_advantage": "2D-vs-1D SWAP claim (ext-geometry)",
     "reloads_per_success": "reload claim (ext-ejection-readout)",
     "std_fraction": "loss-tolerance spread claim (fig10 runner)",
+    "circuits_equivalent": "statevector equivalence the decomposition "
+                           "and optimizer tests check circuits against",
+    "equivalent_on_clean_ancillas": "the same check for decompositions "
+                                    "that borrow ancillas",
 }
 
 #: Reached only by their own unit tests; each goes, with that test, in
 #: a later change (ROADMAP 7(d)).
 AWAITING_DELETION = {
-    "multiqubit_gate_count": "Circuit",
-    "used_qubits": "Circuit",
-    "with_final_measurements": "Circuit",
-    "gate_span": "repro.core.routing",
-    "total_weight": "InteractionWeights",
-    "with_reload_time": "TimingModel",
-    "improved": "LossModel",
-    "translate_sites": "VirtualMap",
+    "size_curve": "repro.analysis.success",
+    "circuit_ref": "repro.circuits.digest",
+    "optimize_circuit": "repro.circuits.optimize",
+    "optimization_report": "repro.circuits.optimize",
+    "point_in_disk": "repro.utils.geometry",
+    "disks_overlap": "repro.utils.geometry",
+    "ghz_circuit": "repro.workloads.random_circuits",
+    "qft_circuit": "repro.workloads.random_circuits",
 }
 
 
@@ -94,6 +100,13 @@ def _bound_names(node):
     return names
 
 
+def _is_all(node):
+    """Whether ``node`` assigns the module's ``__all__``."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
 def _used_names(tree):
     used = set()
     annotations = []
@@ -107,10 +120,7 @@ def _used_names(tree):
                 annotations.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(target, ast.Name)
-                      and target.id == "__all__"
-                      for target in node.targets)):
+        elif _is_all(node):
             used.update(constant.value for constant in ast.walk(node.value)
                         if isinstance(constant, ast.Constant))
     for annotation in annotations:
@@ -165,15 +175,32 @@ def test_no_unused_module_level_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def _caller_text(path):
+    """The text of ``path`` whose words count as uses: all of it, less
+    a package ``__init__.py``'s imports and ``__all__``."""
+    text = path.read_text(encoding="utf-8")
+    if path.name != "__init__.py":
+        return text
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    reexports = list(_module_imports(tree))
+    reexports += [node for node in tree.body if _is_all(node)]
+    for node in reexports:
+        for index in range(node.lineno - 1, node.end_lineno):
+            lines[index] = ""
+    return "\n".join(lines)
+
+
 def uncalled_definitions(package, roots):
     """``(path, line, name)`` of each ``def``/``class`` under ``package``
     whose name appears in no ``.py`` file under ``roots`` except at its
     own definitions.  A name counts wherever it occurs as a word —
-    code, strings (``getattr``, probes) and comments alike."""
+    code, strings (``getattr``, probes) and comments alike — except in
+    a package's re-exports (:func:`_caller_text`)."""
     words = Counter()
     for root in roots:
         for path in root.rglob("*.py"):
-            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+            words.update(re.findall(r"\w+", _caller_text(path)))
     defined = Counter()
     first = {}
     for path in sorted(package.rglob("*.py")):
@@ -209,7 +236,14 @@ def test_scanner_flags_only_definitions_without_callers(tmp_path):
         "class Orphan:\n"
         "    pass\n"
         "def shadowed():\n"
+        "    pass\n"
+        "def reexported():\n"
         "    pass\n",
+        encoding="utf-8")
+    # A re-export passes the name on; it does not call it.
+    (package / "__init__.py").write_text(
+        "from pkg.mod import Used, reexported\n"
+        "__all__ = ['Used', 'reexported']\n",
         encoding="utf-8")
     tests = tmp_path / "tests"
     tests.mkdir()
@@ -219,12 +253,12 @@ def test_scanner_flags_only_definitions_without_callers(tmp_path):
         encoding="utf-8")
     found = uncalled_definitions(package, [tmp_path / "src", tests])
     assert [(line, name) for _, line, name in found] == [
-        (4, "orphan_method"), (12, "Orphan")]
+        (4, "orphan_method"), (12, "Orphan"), (16, "reexported")]
     # Without the tests, what only they reach (or seem to) shows.
     found = uncalled_definitions(package, [tmp_path / "src"])
     assert [(line, name) for _, line, name in found] == [
         (4, "orphan_method"), (10, "tested"), (12, "Orphan"),
-        (14, "shadowed")]
+        (14, "shadowed"), (16, "reexported")]
 
 
 def test_every_definition_has_a_caller():

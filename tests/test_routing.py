@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.routing import (
     SwapProposal,
-    gate_span,
     propose_swap,
     reroute_path_swaps,
 )
@@ -15,16 +14,6 @@ from repro.hardware import Topology
 def layout(pairs):
     phi = dict(pairs)
     return phi, {site: q for q, site in phi.items()}
-
-
-class TestGateSpan:
-    def test_pair(self):
-        topo = Topology.square(4, 1.0)
-        assert gate_span([0, 3], topo) == pytest.approx(3.0)
-
-    def test_triple_max_pairwise(self):
-        topo = Topology.square(4, 1.0)
-        assert gate_span([0, 1, 3], topo) == pytest.approx(3.0)
 
 
 class TestProposeSwap:

@@ -62,6 +62,24 @@ class TestEndpoints:
         assert fig10["quick"]["mids"] == [2.0, 3.0]
         assert fig10["result_type"] == "Fig10Result"
 
+    def test_jobs_is_not_a_request_parameter(self, base):
+        """The server's worker count is its own: no experiment lists
+        ``jobs``, and a request naming it is refused like any unknown
+        parameter, never run on a nested process pool."""
+        _, _, body = get(base + "/experiments")
+        for spec in json.loads(body)["experiments"]:
+            assert "jobs" not in {p["name"] for p in spec["params"]}
+        error = _http_error(post, base + "/run", experiment="validation",
+                            quick=True, params={"jobs": 2})
+        assert error.code == 400
+        assert json.loads(error.read())["error_type"] == "TypeError"
+        error = _http_error(post, base + "/sweeps",
+                            experiment="ext-trapped-ion", quick=True,
+                            base={"jobs": 2},
+                            axes={"program_size": [10, 20]})
+        assert error.code == 400
+        assert json.loads(error.read())["error_type"] == "TypeError"
+
     def test_experiment_detail_and_unknown(self, base):
         _, _, body = get(base + "/experiments/validation")
         assert json.loads(body)["name"] == "validation"

@@ -31,11 +31,6 @@ class TestTimingModel:
         with pytest.raises(ValueError):
             TimingModel(reload_time=-1.0)
 
-    def test_with_reload_time(self):
-        t = TimingModel().with_reload_time(1.0)
-        assert t.reload_time == 1.0
-        assert t.fluorescence_time == pytest.approx(6e-3)
-
 
 class TestLossModelRates:
     def test_paper_constants(self):
@@ -55,10 +50,6 @@ class TestLossModelRates:
         m = LossModel.lossless_readout(improvement_factor=10.0)
         assert m.effective_measurement_loss == pytest.approx(0.002)
         assert m.effective_vacuum_loss == pytest.approx(0.00068)
-
-    def test_improved_compounds(self):
-        m = LossModel.lossless_readout().improved(2.0).improved(5.0)
-        assert m.improvement_factor == pytest.approx(10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -20,10 +20,6 @@ class TestIdentityStart:
         assert vmap.site_to_role[2] == 2
         assert 0 not in vmap.site_to_role
 
-    def test_translate_sites(self):
-        _, vmap = fresh(roles=(1, 2))
-        assert vmap.translate_sites((1, 2)) == (1, 2)
-
 
 class TestSpareCounting:
     def test_spares_toward_edge(self):

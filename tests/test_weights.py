@@ -34,12 +34,6 @@ class TestInteractionWeights:
         assert w.partners(0) == {1: 1.0, 2: 2.0}
         assert w.partners(9) == {}
 
-    def test_total_weight(self):
-        w = InteractionWeights()
-        w.add(0, 1, 1.0)
-        w.add(0, 2, 2.0)
-        assert w.total_weight(0) == pytest.approx(3.0)
-
     def test_heaviest_pair(self):
         w = InteractionWeights()
         w.add(0, 1, 1.0)
