@@ -5,7 +5,9 @@ and config only) and a topology stage (placement, routing, scheduling on
 the current atoms), and Always Recompile lowers its circuit once and
 reruns only the topology stage on each loss.  The lookahead weights keep
 one per-qubit map, and ``Frontier.remaining_layers`` counts down only the
-successors it visits.
+successors it visits.  ``propose_swap`` scores candidates from per-operand
+partner rows; ``reference_propose_swap`` and ``reference_score_swap``
+score each candidate from the weight map, one call per candidate.
 
 The references below are verbatim copies of the one-stage code, except
 that ``reference_compile_circuit`` passes the placement order to
@@ -19,7 +21,7 @@ import math
 import random
 import time
 from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -28,14 +30,15 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDag, Frontier
 from repro.circuits.decompose import decompose_circuit
 from repro.circuits.gates import ccx, cx, h
-from repro.core import compiler, scheduler
+from repro.core import compiler, routing, scheduler
 from repro.core.compiler import (compile_circuit, lower_circuit,
                                  max_native_arity_for_distance)
 from repro.core.config import CompilerConfig
 from repro.core.errors import CompilationError
 from repro.core.mapping import initial_mapping, placement_order
 from repro.core.result import CompiledProgram
-from repro.core.weights import frontier_weights
+from repro.core.routing import SwapProposal, propose_swap
+from repro.core.weights import InteractionWeights, frontier_weights
 from repro.exec.cache import CompileCache, cached_compile
 from repro.exec.keys import compile_key
 from repro.hardware.topology import Topology
@@ -224,6 +227,131 @@ class ReferenceRecompile(AlwaysRecompile):
         )
 
 
+def reference_propose_swap(
+    gate_qubits: Sequence[int],
+    phi: Dict[int, int],
+    inverse_phi: Dict[int, int],
+    topology: Topology,
+    weights: InteractionWeights,
+) -> Optional[SwapProposal]:
+    """Best single SWAP bringing one operand of the gate closer.
+
+    Evaluates every operand ``u`` against every active neighbor ``h`` of
+    its site that strictly reduces ``u``'s maximum distance to the gate's
+    other operands, scoring each by the paper's function.  Falls back to
+    one hop along a BFS path when the Euclidean-greedy candidate set is
+    empty (possible on topologies with holes).  Returns ``None`` only when
+    even BFS finds no way to bring the operands together.
+    """
+    grid = topology.grid
+    rows = grid.distance_rows()
+    ntable = grid.neighbor_table(topology.max_interaction_distance)
+    lost = topology.lost_view
+    lookup_displaced = inverse_phi.get
+    # Unrolled partner handling for the 2- and 3-operand gates the native
+    # set produces (a genexpr max() per candidate dominates otherwise);
+    # gates with repeated operands fall back to the generic path.
+    arity = len(gate_qubits)
+    if arity == 2:
+        if gate_qubits[0] == gate_qubits[1]:
+            arity = -1
+    elif arity == 3:
+        qa, qb, qc = gate_qubits
+        if qa == qb or qa == qc or qb == qc:
+            arity = -1
+    else:
+        arity = -1
+    best_a = best_b = -1
+    best_score = 0.0
+    have_best = False
+    for u in gate_qubits:
+        site_u = phi[u]
+        row_u = rows[site_u]
+        p0 = p1 = -1
+        partner_sites: Tuple[int, ...] = ()
+        if arity == 2:
+            p0 = phi[gate_qubits[1] if u == gate_qubits[0] else gate_qubits[0]]
+            span_limit = row_u[p0] - 1e-9
+        elif arity == 3:
+            qa, qb, qc = gate_qubits
+            if u == qa:
+                p0, p1 = phi[qb], phi[qc]
+            elif u == qb:
+                p0, p1 = phi[qa], phi[qc]
+            else:
+                p0, p1 = phi[qa], phi[qb]
+            d0, d1 = row_u[p0], row_u[p1]
+            span_limit = (d0 if d0 >= d1 else d1) - 1e-9
+        else:
+            partner_sites = tuple(phi[v] for v in gate_qubits if v != u)
+            span_limit = max(row_u[p] for p in partner_sites) - 1e-9
+        for h in ntable[site_u]:
+            if h in lost:
+                continue
+            # Geometry first: the strict-progress span test eliminates
+            # nearly every candidate, so it runs before the (costlier)
+            # same-gate-operand lookup.  Both checks are side-effect-free
+            # filters, so the surviving candidate set is order-independent.
+            row_h = rows[h]
+            if arity == 2:
+                if row_h[p0] >= span_limit:
+                    continue
+            elif arity == 3:
+                d0, d1 = row_h[p0], row_h[p1]
+                if (d0 if d0 >= d1 else d1) >= span_limit:
+                    continue
+            elif max(row_h[p] for p in partner_sites) >= span_limit:
+                continue
+            if lookup_displaced(h) in gate_qubits:
+                # Swapping two operands of the same gate permutes them but
+                # leaves the operand site set (and the span) unchanged.
+                continue
+            score = reference_score_swap(u, site_u, h, phi, inverse_phi, weights, rows)
+            if (not have_best or score > best_score or (
+                score == best_score and (site_u, h) < (best_a, best_b)
+            )):
+                best_a, best_b, best_score = site_u, h, score
+                have_best = True
+    if have_best:
+        return SwapProposal(best_a, best_b, best_score)
+    return routing._bfs_fallback(gate_qubits, phi, topology)
+
+
+def reference_score_swap(
+    u: int,
+    site_u: int,
+    target_site: int,
+    phi: Dict[int, int],
+    inverse_phi: Dict[int, int],
+    weights: InteractionWeights,
+    rows: List[List[float]],
+) -> float:
+    """The paper's routing score for moving ``u`` from its site to
+    ``target_site`` (displacing whatever sits there)."""
+    score = 0.0
+    row_u = rows[site_u]
+    row_t = rows[target_site]
+    displaced = inverse_phi.get(target_site)
+    for v, weight in weights.partners(u).items():
+        if v == u or v not in phi:
+            continue
+        site_v = phi[v]
+        if v == displaced:
+            # The displaced qubit is the partner itself; after the SWAP
+            # their distance is unchanged (they trade places), so skip.
+            continue
+        score += (row_u[site_v] - row_t[site_v]) * weight
+    if displaced is not None and displaced != u:
+        for v, weight in weights.partners(displaced).items():
+            if v == displaced or v not in phi or v == u:
+                continue
+            site_v = phi[v]
+            # Displaced qubit moves from target_site to site_u; penalize
+            # (negative contribution) if that takes it away from partners.
+            score += (row_t[site_v] - row_u[site_v]) * weight
+    return score
+
+
 # -- helpers ----------------------------------------------------------------
 
 
@@ -330,6 +458,74 @@ def test_weights_and_layers_match_over_random_progressions(seed):
         if frontier.all_done():
             break
         frontier.complete(rng.choice(sorted(frontier.ready)))
+
+
+# -- routing: one proposal per randomized state -------------------------------
+
+
+def random_routing_state(rng: random.Random):
+    """A proposal's inputs: a small grid with some atoms lost, qubits on
+    part of the active sites, weights that also name unplaced qubits, and
+    a gate that sometimes repeats an operand."""
+    side = rng.randint(4, 7)
+    topology = Topology.square(side, rng.choice((1.0, math.sqrt(2), 2.0,
+                                                 3.0)))
+    for site in rng.sample(range(side * side), rng.randint(0, side * side // 4)):
+        topology.remove_atom(site)
+    active = topology.active_sites()
+    num_qubits = rng.randint(3, len(active))
+    phi = dict(zip(rng.sample(range(num_qubits), num_qubits),
+                   rng.sample(active, num_qubits)))
+    inverse_phi = {site: q for q, site in phi.items()}
+    weights = InteractionWeights()
+    universe = num_qubits + 2
+    for _ in range(rng.randint(0, 4 * universe)):
+        u, v = rng.sample(range(universe), 2)
+        weights.add(u, v, rng.choice((1.0, math.exp(-1.0), rng.random())))
+    gate = rng.sample(range(num_qubits),
+                      min(num_qubits, rng.choice((2, 2, 3, 3, 4))))
+    if len(gate) > 2 and rng.random() < 0.25:
+        gate[-1] = gate[0]
+        rng.shuffle(gate)
+    return tuple(gate), phi, inverse_phi, topology, weights
+
+
+def test_proposals_match_the_reference_over_random_states(monkeypatch):
+    seen: Set[str] = set()
+    score_one = reference_score_swap
+
+    def recording_score(u, site_u, target_site, phi, inverse_phi, weights,
+                        rows):
+        displaced = inverse_phi.get(target_site)
+        if displaced is None:
+            seen.add("empty target site")
+        elif displaced in weights.partners(u):
+            seen.add("displaced partner")
+        if any(v not in phi for v in weights.partners(u)):
+            seen.add("unplaced partner")
+        return score_one(u, site_u, target_site, phi, inverse_phi, weights,
+                         rows)
+
+    monkeypatch.setitem(globals(), "reference_score_swap", recording_score)
+    rng = random.Random(26)
+    for _ in range(1500):
+        state = random_routing_state(rng)
+        gate, phi, inverse_phi, topology = state[:4]
+        if len(set(gate)) < len(gate):
+            seen.add("repeated operand")
+        ntable = topology.grid.neighbor_table(
+            topology.max_interaction_distance)
+        if any(h in topology.lost_view for q in gate for h in ntable[phi[q]]):
+            seen.add("lost neighbor")
+        before = (dict(phi), dict(inverse_phi))
+        expected = reference_propose_swap(*state)
+        if expected is not None and expected.via_path_fallback:
+            seen.add("fallback")
+        assert propose_swap(*state) == expected, state
+        assert (phi, inverse_phi) == before
+    assert seen == {"empty target site", "displaced partner",
+                    "unplaced partner", "repeated operand", "lost neighbor",
+                    "fallback"}
 
 
 # -- the contract of the new surface ----------------------------------------
