@@ -42,9 +42,6 @@ class CircuitDag:
     def __len__(self) -> int:
         return len(self.circuit)
 
-    def gate(self, idx: int) -> Gate:
-        return self.circuit[idx]
-
     # -- layering ------------------------------------------------------------
 
     def layers(self) -> List[List[int]]:
@@ -53,8 +50,8 @@ class CircuitDag:
             self._layers = self.circuit.layers()
         return self._layers
 
-    def weight_pairs(self, idx: int) -> Tuple[Tuple[int, int], ...]:
-        """Operand pairs of gate ``idx`` that carry lookahead weight.
+    def weight_pairs(self) -> List[Tuple[Tuple[int, int], ...]]:
+        """Per gate index, the operand pairs that carry lookahead weight.
 
         Empty for single-qubit gates and measurements.  Cached: the weight
         function re-walks the same gates every scheduler timestep.
@@ -67,15 +64,16 @@ class CircuitDag:
                 else:
                     pairs.append(tuple(interaction_pairs(gate)))
             self._weight_pairs = pairs
-        return self._weight_pairs[idx]
+        return self._weight_pairs
 
 
 class Frontier:
     """Mutable execution frontier over a :class:`CircuitDag`.
 
     Tracks which gates are ready (all predecessors done).  The scheduler
-    marks gates done one at a time; the lookahead weighting asks for the
-    *remaining* layer structure relative to the current frontier.
+    marks gates done one at a time; the lookahead weighting lays out the
+    *remaining* layer structure from the ready set and the live
+    predecessor counts.
     """
 
     def __init__(self, dag: CircuitDag):
@@ -107,38 +105,14 @@ class Frontier:
             if self._remaining_preds[succ] == 0:
                 self._ready.add(succ)
 
-    # -- lookahead support -----------------------------------------------------
+    @property
+    def remaining_preds(self) -> List[int]:
+        """Per gate, how many of its predecessors are still unexecuted.
 
-    def remaining_layers(self, max_layers: int) -> List[List[int]]:
-        """ASAP layering of the *unexecuted* portion of the circuit.
-
-        Layer 0 is the current frontier (``ready`` gates).  Only the first
-        ``max_layers`` layers are materialized since the exponential
-        lookahead weight decays fast.
+        Kept current by :meth:`complete`; the lookahead weighting lays
+        out the remaining layers from it.  Callers must not mutate it.
         """
-        # ``_remaining_preds`` is maintained incrementally by complete(),
-        # so for every unexecuted gate it already equals the number of
-        # unexecuted predecessors; layer 0 is exactly the ready set.  Only
-        # the successors this walk visits are counted down, in a local
-        # map.  Every successor of an unexecuted gate is unexecuted, and
-        # each gate lands in one layer, so each edge is visited at most
-        # once and a count reaches zero exactly once.
-        remaining_preds = self._remaining_preds
-        successors = self.dag.successors
-        pending: Dict[int, int] = {}
-        layers: List[List[int]] = []
-        current = sorted(self._ready)
-        while current and len(layers) < max_layers:
-            layers.append(current)
-            next_layer: List[int] = []
-            for idx in current:
-                for succ in successors[idx]:
-                    left = pending.get(succ, remaining_preds[succ]) - 1
-                    pending[succ] = left
-                    if left == 0:
-                        next_layer.append(succ)
-            current = next_layer
-        return layers
+        return self._remaining_preds
 
 
 def interaction_pairs(gate: Gate) -> List[Tuple[int, int]]:

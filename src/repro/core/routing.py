@@ -12,6 +12,15 @@ penalizes dragging the displaced qubit ``phi^-1(h)`` away from *its*
 future partners.  The chosen ``h`` must be *strictly closer to the most
 immediate interaction*, guaranteeing progress.
 
+:func:`propose_swap` computes the score inline, the one place it is
+written.  For each operand ``u`` it builds ``u``'s partner rows once,
+``(v, phi(v), w(u, v), d(phi(u), phi(v)))`` in the weight map's order, and
+every candidate ``h`` of ``u`` sums over those rows, skipping the
+displaced qubit (the two trade places, so their distance is unchanged).
+The displaced qubit's term reads its partners from the same weight map.
+Terms are added in partner order, so scores are the same floats as a
+per-candidate evaluation of the formula.
+
 A BFS fallback handles hole-riddled topologies (recompilation after atom
 loss) where no Euclidean-closer neighbor exists.
 """
@@ -61,6 +70,7 @@ def propose_swap(
     ntable = grid.neighbor_table(topology.max_interaction_distance)
     lost = topology.lost_view
     lookup_displaced = inverse_phi.get
+    site_of = phi.get
     # Unrolled partner handling for the 2- and 3-operand gates the native
     # set produces (a genexpr max() per candidate dominates otherwise);
     # gates with repeated operands fall back to the generic path.
@@ -74,6 +84,7 @@ def propose_swap(
             arity = -1
     else:
         arity = -1
+    per_qubit = weights._per_qubit
     best_a = best_b = -1
     best_score = 0.0
     have_best = False
@@ -98,6 +109,9 @@ def propose_swap(
         else:
             partner_sites = tuple(phi[v] for v in gate_qubits if v != u)
             span_limit = max(row_u[p] for p in partner_sites) - 1e-9
+        # u's partner rows (v, site_v, w(u, v), d(site_u, site_v)), built
+        # at u's first surviving candidate and shared by the rest.
+        u_rows: Optional[List[Tuple[int, int, float, float]]] = None
         for h in ntable[site_u]:
             if h in lost:
                 continue
@@ -115,11 +129,32 @@ def propose_swap(
                     continue
             elif max(row_h[p] for p in partner_sites) >= span_limit:
                 continue
-            if lookup_displaced(h) in gate_qubits:
+            displaced = lookup_displaced(h)
+            if displaced in gate_qubits:
                 # Swapping two operands of the same gate permutes them but
                 # leaves the operand site set (and the span) unchanged.
                 continue
-            score = _score_swap(u, site_u, h, phi, inverse_phi, weights, rows)
+            if u_rows is None:
+                u_rows = [(v, phi[v], weight, row_u[phi[v]])
+                          for v, weight in per_qubit.get(u, {}).items()
+                          if v != u and v in phi]
+            # The score, term by term in partner order: u moves from
+            # site_u to h.  A partner that is the displaced qubit trades
+            # places with u, so its distance is unchanged and it adds
+            # nothing.
+            score = 0.0
+            for v, site_v, weight, d_uv in u_rows:
+                if v != displaced:
+                    score += (d_uv - row_h[site_v]) * weight
+            if displaced is not None:
+                # The displaced qubit moves from h to site_u; a move away
+                # from its own partners counts against the SWAP.
+                for v, weight in per_qubit.get(displaced, {}).items():
+                    if v == displaced or v == u:
+                        continue
+                    site_v = site_of(v)
+                    if site_v is not None:
+                        score += (row_h[site_v] - row_u[site_v]) * weight
             if (not have_best or score > best_score or (
                 score == best_score and (site_u, h) < (best_a, best_b)
             )):
@@ -128,41 +163,6 @@ def propose_swap(
     if have_best:
         return SwapProposal(best_a, best_b, best_score)
     return _bfs_fallback(gate_qubits, phi, topology)
-
-
-def _score_swap(
-    u: int,
-    site_u: int,
-    target_site: int,
-    phi: Dict[int, int],
-    inverse_phi: Dict[int, int],
-    weights: InteractionWeights,
-    rows: List[List[float]],
-) -> float:
-    """The paper's routing score for moving ``u`` from its site to
-    ``target_site`` (displacing whatever sits there)."""
-    score = 0.0
-    row_u = rows[site_u]
-    row_t = rows[target_site]
-    displaced = inverse_phi.get(target_site)
-    for v, weight in weights.partners(u).items():
-        if v == u or v not in phi:
-            continue
-        site_v = phi[v]
-        if v == displaced:
-            # The displaced qubit is the partner itself; after the SWAP
-            # their distance is unchanged (they trade places), so skip.
-            continue
-        score += (row_u[site_v] - row_t[site_v]) * weight
-    if displaced is not None and displaced != u:
-        for v, weight in weights.partners(displaced).items():
-            if v == displaced or v not in phi or v == u:
-                continue
-            site_v = phi[v]
-            # Displaced qubit moves from target_site to site_u; penalize
-            # (negative contribution) if that takes it away from partners.
-            score += (row_t[site_v] - row_u[site_v]) * weight
-    return score
 
 
 def _bfs_fallback(

@@ -65,11 +65,18 @@ def schedule_circuit(
 
     schedule: List[List[ScheduledOp]] = []
     max_timesteps = config.max_timestep_factor * (len(circuit) + 1)
-    dag_gate = dag.gate
-    #: sites tuple -> Zone.  Zones are immutable functions of the operand
-    #: sites (restriction and grid are fixed per schedule), and the same
-    #: few site tuples recur timestep after timestep.
+    #: Per gate index: the gate, its operands, and whether it needs the
+    #: interaction-distance check (two or more operands).
+    gate_rows = [(gate, gate.qubits, gate.arity >= 2) for gate in dag.circuit]
+    # Both memos below are pure functions of the operand sites while this
+    # call runs (restriction, grid and topology are fixed), and the same
+    # few site tuples recur timestep after timestep.
+    #: sites tuple -> Zone.
     zone_cache: Dict[Tuple[int, ...], Zone] = {}
+    #: sites tuple -> topology.can_interact(sites).
+    interacts: Dict[Tuple[int, ...], bool] = {}
+    track_zones = not restriction.disabled
+    site_of = phi.__getitem__
 
     # The lookahead weights are pure functions of the set of completed
     # gates, so they are computed lazily (only when a SWAP must actually
@@ -115,34 +122,36 @@ def schedule_circuit(
 
         ready = sorted(frontier.ready)
         blocked_far: List[int] = []
-        track_zones = not restriction.disabled
-
-        site_of = phi.__getitem__
 
         # Phase 1: execute everything already in range.
         for idx in ready:
-            gate = dag_gate(idx)
-            sites = tuple(map(site_of, gate.qubits))
+            gate, qubits, multi = gate_rows[idx]
+            sites = tuple(map(site_of, qubits))
             if not busy.isdisjoint(sites):
                 continue
-            if gate.arity >= 2 and not topology.can_interact(sites):
-                blocked_far.append(idx)
-                continue
-            if not _zone_fits(sites, zones, restriction, grid, zone_cache):
-                continue
-            ops.append(ScheduledOp(gate, sites, timestep_index, source_index=idx))
+            if multi:
+                in_range = interacts.get(sites)
+                if in_range is None:
+                    in_range = interacts[sites] = topology.can_interact(sites)
+                if not in_range:
+                    blocked_far.append(idx)
+                    continue
             if track_zones:
-                zones.append(_zone_of(sites, restriction, grid, zone_cache))
+                zone = _zone_of(sites, restriction, grid, zone_cache)
+                if any(map(zone.intersects, zones)):
+                    continue
+                zones.append(zone)
+            ops.append(ScheduledOp(gate, sites, timestep_index, source_index=idx))
             busy.update(sites)
             completed.append(idx)
 
         # Phase 2: one routing SWAP per still-blocked gate, if it fits.
         for idx in blocked_far:
-            gate = dag_gate(idx)
-            if not busy.isdisjoint(map(site_of, gate.qubits)):
+            gate, qubits, _ = gate_rows[idx]
+            if not busy.isdisjoint(map(site_of, qubits)):
                 continue
             proposal = propose_swap(
-                gate.qubits, phi, inverse_phi, topology, current_weights()
+                qubits, phi, inverse_phi, topology, current_weights()
             )
             if proposal is None:
                 if not ops and not pending_swaps:
@@ -154,13 +163,14 @@ def schedule_circuit(
             swap_sites = proposal.sites
             if not busy.isdisjoint(swap_sites):
                 continue
-            if not _zone_fits(swap_sites, zones, restriction, grid, zone_cache):
-                continue
+            if track_zones:
+                zone = _zone_of(swap_sites, restriction, grid, zone_cache)
+                if any(map(zone.intersects, zones)):
+                    continue
+                zones.append(zone)
             ops.append(
                 ScheduledOp(None, swap_sites, timestep_index, source_index=None)
             )
-            if track_zones:
-                zones.append(_zone_of(swap_sites, restriction, grid, zone_cache))
             busy.update(swap_sites)
             pending_swaps.append(swap_sites)
 
@@ -195,15 +205,16 @@ def _zone_of(
     sites: Tuple[int, ...],
     restriction: RestrictionModel,
     grid,
-    cache: Optional[Dict[Tuple[int, ...], Zone]] = None,
+    cache: Dict[Tuple[int, ...], Zone],
 ) -> Zone:
-    if cache is not None:
-        zone = cache.get(sites)
-        if zone is not None:
-            return zone
-    zone = _build_zone(sites, restriction, grid)
-    if cache is not None:
-        cache[sites] = zone
+    """The restriction zone of a gate at ``sites``, memoised in ``cache``.
+
+    Shared-site conflicts are checked by the caller via the busy set; the
+    zone is only for the intersection test against this timestep's.
+    """
+    zone = cache.get(sites)
+    if zone is None:
+        zone = cache[sites] = _build_zone(sites, restriction, grid)
     return zone
 
 
@@ -226,25 +237,6 @@ def _build_zone(sites: Tuple[int, ...], restriction: RestrictionModel, grid) -> 
     return restriction.zone_for_span(
         [positions_list[s] for s in sites], span
     )
-
-
-def _zone_fits(
-    sites: Tuple[int, ...],
-    committed: List[Zone],
-    restriction: RestrictionModel,
-    grid,
-    cache: Optional[Dict[Tuple[int, ...], Zone]] = None,
-) -> bool:
-    """Whether a gate at ``sites`` is zone-compatible with this timestep.
-
-    Shared-site conflicts are checked by the caller via the busy set, so
-    this is purely the zone-intersection test (always true when zones are
-    disabled).
-    """
-    if restriction.disabled or not committed:
-        return True
-    zone = _zone_of(sites, restriction, grid, cache)
-    return not any(zone.intersects(other) for other in committed)
 
 
 def _apply_swap(

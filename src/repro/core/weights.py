@@ -9,6 +9,14 @@ summed over future DAG layers ``l`` containing a gate acting on both
 (every operand pair, for multiqubit gates).  ``l_c`` is the current
 frontier layer, so gates about to execute dominate and distant ones decay
 exponentially.
+
+Routing rebuilds these weights when it scores SWAPs after a gate has
+completed.  :func:`frontier_weights` does it in one walk from the frontier: it lays
+out each remaining layer and adds its gates' pairs (the DAG's cached
+per-gate pair tuples) as it goes, stopping after ``max_layers`` layers.
+Every sum is accumulated in (layer, gate, pair) order, the order of
+:func:`weights_from_layers`, so the floats and each map's insertion
+order do not depend on which of the two built them.
 """
 
 from __future__ import annotations
@@ -81,10 +89,11 @@ def weights_from_layers(
     """
     weights = InteractionWeights()
     per_qubit = weights._per_qubit
+    pair_table = dag.weight_pairs()
     for offset, layer in enumerate(layers):
         factor = math.exp(-decay * offset)
         for gate_idx in layer:
-            for u, v in dag.weight_pairs(gate_idx):
+            for u, v in pair_table[gate_idx]:
                 pu = per_qubit[u]
                 pu[v] = pu.get(v, 0.0) + factor
                 pv = per_qubit[v]
@@ -103,6 +112,45 @@ def initial_weights(
 def frontier_weights(
     frontier: Frontier, max_layers: int = 10, decay: float = 1.0
 ) -> InteractionWeights:
-    """Weights as seen from the current execution frontier (routing view)."""
-    layers = frontier.remaining_layers(max_layers)
-    return weights_from_layers(layers, frontier.dag, decay=decay)
+    """Weights as seen from the current execution frontier (routing view).
+
+    One walk lays out the unexecuted gates in ASAP layers and adds each
+    gate's pairs as it is reached.  Layer 0 is the ready set in index
+    order, and layer ``k + 1`` holds the successors whose last
+    unexecuted predecessor lies in layer ``k``, in the order the walk
+    releases them.  Only the first ``max_layers`` layers are visited,
+    since the weight decays exponentially.  Gates are reached in the
+    (layer, gate, pair) order of :func:`weights_from_layers`, so the
+    sums match it bit for bit.
+    """
+    weights = InteractionWeights()
+    per_qubit = weights._per_qubit
+    pair_table = frontier.dag.weight_pairs()
+    successors = frontier.dag.successors
+    # The frontier's counts are live: for every unexecuted gate they
+    # equal its unexecuted predecessors.  The walk counts down a local
+    # copy of only the gates it visits; each gate lands in one layer, so
+    # a count reaches zero exactly once.
+    remaining_preds = frontier.remaining_preds
+    pending: Dict[int, int] = {}
+    layer = sorted(frontier.ready)
+    for offset in range(max_layers):
+        if not layer:
+            break
+        factor = math.exp(-decay * offset)
+        walk = offset + 1 < max_layers
+        next_layer: List[int] = []
+        for gate_idx in layer:
+            for u, v in pair_table[gate_idx]:
+                pu = per_qubit[u]
+                pu[v] = pu.get(v, 0.0) + factor
+                pv = per_qubit[v]
+                pv[u] = pv.get(u, 0.0) + factor
+            if walk:
+                for succ in successors[gate_idx]:
+                    left = pending.get(succ, remaining_preds[succ]) - 1
+                    pending[succ] = left
+                    if left == 0:
+                        next_layer.append(succ)
+        layer = next_layer
+    return weights

@@ -4,8 +4,10 @@
 and config only) and a topology stage (placement, routing, scheduling on
 the current atoms), and Always Recompile lowers its circuit once and
 reruns only the topology stage on each loss.  The lookahead weights keep
-one per-qubit map, and ``Frontier.remaining_layers`` counts down only the
-successors it visits.  ``propose_swap`` scores candidates from per-operand
+one per-qubit map, and ``frontier_weights`` lays out the remaining layers
+and adds their weights in one walk that counts down only the successors
+it visits (``reference_remaining_layers`` lays them out first, with its
+own counts).  ``propose_swap`` scores candidates from per-operand
 partner rows; ``reference_propose_swap`` and ``reference_score_swap``
 score each candidate from the weight map, one call per candidate.
 
@@ -115,7 +117,7 @@ def reference_weights_from_layers(
     for offset, layer in enumerate(layers):
         factor = math.exp(-decay * offset)
         for gate_idx in layer:
-            for u, v in dag.weight_pairs(gate_idx):
+            for u, v in dag.weight_pairs()[gate_idx]:
                 key = (u, v) if u <= v else (v, u)
                 pair_weights[key] += factor
                 pu = per_qubit[u]
@@ -438,9 +440,11 @@ def test_weights_and_layers_match_over_random_progressions(seed):
     dag = CircuitDag(random_progression_circuit(seed))
     frontier = Frontier(dag)
     while True:
-        for max_layers in (1, 3, 10, 1000):
-            assert frontier.remaining_layers(max_layers) == \
-                reference_remaining_layers(frontier, max_layers)
+        for max_layers in (0, 1, 3, 1000):
+            assert per_qubit_items(
+                frontier_weights(frontier, max_layers, 0.7)) == \
+                per_qubit_items(
+                    reference_frontier_weights(frontier, max_layers, 0.7))
         actual = frontier_weights(frontier, 10, 0.7)
         expected = reference_frontier_weights(frontier, 10, 0.7)
         assert per_qubit_items(actual) == per_qubit_items(expected)

@@ -67,25 +67,6 @@ class TestFrontier:
             frontier.complete(idx)
         assert frontier.all_done()
 
-    def test_remaining_layers_initial(self):
-        frontier = Frontier(CircuitDag(chain_circuit()))
-        layers = frontier.remaining_layers(10)
-        assert sorted(layers[0]) == [0, 3]
-        assert layers[1] == [1]
-        assert layers[2] == [2]
-
-    def test_remaining_layers_advance(self):
-        frontier = Frontier(CircuitDag(chain_circuit()))
-        frontier.complete(0)
-        frontier.complete(3)
-        layers = frontier.remaining_layers(10)
-        assert layers[0] == [1]
-        assert layers[1] == [2]
-
-    def test_remaining_layers_truncation(self):
-        frontier = Frontier(CircuitDag(chain_circuit()))
-        assert len(frontier.remaining_layers(1)) == 1
-
 
 class TestInteractionPairs:
     def test_two_qubit(self):

@@ -21,7 +21,7 @@ from repro.core.errors import DisconnectedTopologyError, SchedulingStalledError
 from repro.core.mapping import initial_mapping, placement_order
 from repro.core.result import ScheduledOp
 from repro.core.routing import propose_swap
-from repro.core.scheduler import _apply_swap, _zone_fits, _zone_of
+from repro.core.scheduler import _apply_swap, _zone_of
 from repro.core.weights import frontier_weights, initial_weights
 from repro.hardware import Grid, Topology
 from repro.hardware.restriction import Zone
@@ -242,6 +242,27 @@ class TestMetricsTrends:
 # -- livelock detection: differential against the budget-only loop ----------------
 
 
+#: The reference loop's zone test, as the scheduler had it before it
+#: looked each zone up once per gate.
+def _zone_fits(
+    sites: Tuple[int, ...],
+    committed: List[Zone],
+    restriction,
+    grid,
+    cache: Optional[Dict[Tuple[int, ...], Zone]] = None,
+) -> bool:
+    """Whether a gate at ``sites`` is zone-compatible with this timestep.
+
+    Shared-site conflicts are checked by the caller via the busy set, so
+    this is purely the zone-intersection test (always true when zones are
+    disabled).
+    """
+    if restriction.disabled or not committed:
+        return True
+    zone = _zone_of(sites, restriction, grid, cache)
+    return not any(zone.intersects(other) for other in committed)
+
+
 def reference_schedule_circuit(
     circuit: Circuit,
     topology: Topology,
@@ -264,7 +285,7 @@ def reference_schedule_circuit(
 
     schedule: List[List[ScheduledOp]] = []
     max_timesteps = config.max_timestep_factor * (len(circuit) + 1)
-    dag_gate = dag.gate
+    dag_gate = dag.circuit.__getitem__
     #: sites tuple -> Zone.  Zones are immutable functions of the operand
     #: sites (restriction and grid are fixed per schedule), and the same
     #: few site tuples recur timestep after timestep.
