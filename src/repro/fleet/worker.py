@@ -4,8 +4,9 @@ A worker is deliberately dumb.  It polls ``POST /fleet/claim``; when the
 server hands it a job it executes the experiment under its *own*
 read-through :class:`repro.api.Session` (pointing at the shared
 content-addressed result store, so a reclaimed job whose result already
-landed replays with zero tasks), heartbeats on a side thread while the
-run is in flight, and reports the outcome with ``POST /fleet/complete``.
+landed replays with zero tasks), heartbeats from its one side thread
+while the run is in flight, and reports the outcome with
+``POST /fleet/complete``.
 Everything hard — deduplication, lease expiry, dead-worker detection,
 requeueing — lives on the server, which is what lets a worker be killed
 with ``SIGKILL`` at any instant without stranding work.
@@ -29,7 +30,7 @@ import sys
 import threading
 import time
 import urllib.error
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api.client import ServerError, open_url
 from repro.fleet.protocol import (
@@ -161,6 +162,13 @@ class FleetWorker:
         self.jobs_done = 0
         #: Jobs abandoned because the lease was lost mid-run.
         self.jobs_lost = 0
+        # One beat thread per worker renews whichever lease it holds.
+        # It starts at the first claim, parks between jobs, and ends when
+        # the loop stops; ``_lease`` is ``(job_id, interval, lost)``.
+        self._beat = threading.Condition()
+        self._beat_thread: Optional[threading.Thread] = None
+        self._lease: Optional[Tuple[str, float, threading.Event]] = None
+        self._beating = False
 
     def _log(self, message: str) -> None:
         if not self.quiet:
@@ -178,21 +186,90 @@ class FleetWorker:
         its server's restarts.
         """
         completed_here = 0
-        while not self.stop_event.is_set():
-            if max_jobs is not None and completed_here >= max_jobs:
-                break
-            try:
-                claimed = self.client.claim()
-            except TRANSIENT_ERRORS as error:
-                self._log(f"claim failed ({error}); retrying")
-                self.stop_event.wait(self.poll_interval)
-                continue
-            if claimed is None:
-                self.stop_event.wait(self.poll_interval)
-                continue
-            if self._execute(claimed):
-                completed_here += 1
+        keep_beating = False
+        try:
+            while not self.stop_event.is_set():
+                if max_jobs is not None and completed_here >= max_jobs:
+                    keep_beating = True
+                    break
+                try:
+                    claimed = self.client.claim()
+                except TRANSIENT_ERRORS as error:
+                    self._log(f"claim failed ({error}); retrying")
+                    self.stop_event.wait(self.poll_interval)
+                    continue
+                if claimed is None:
+                    self.stop_event.wait(self.poll_interval)
+                    continue
+                if self._execute(claimed):
+                    completed_here += 1
+        finally:
+            # The beat thread outlives a ``max_jobs`` return, so the next
+            # call reuses it; a stopped or interrupted loop lets it end.
+            if not keep_beating:
+                with self._beat:
+                    self._lease = self._beat_thread = None
+                    self._beat.notify_all()
         return completed_here
+
+    # -- the lease heartbeat -------------------------------------------------------
+
+    def _hold_lease(self, job_id: str, interval: float) -> threading.Event:
+        """Renew ``job_id``'s lease every ``interval`` seconds until
+        :meth:`_release_lease`; the event is set if the lease is lost."""
+        lost = threading.Event()
+        with self._beat:
+            self._lease = (job_id, interval, lost)
+            if self._beat_thread is None:
+                self._beat_thread = threading.Thread(
+                    target=self._beat_loop, daemon=True,
+                    name=f"repro-fleet-heartbeat-{self.worker_id}")
+                self._beat_thread.start()
+            self._beat.notify_all()
+        return lost
+
+    def _release_lease(self) -> None:
+        """Stop renewing the held lease, waiting (up to 5 s) for a beat
+        already in flight to return."""
+        with self._beat:
+            self._lease = None
+            self._beat.notify_all()
+            self._beat.wait_for(lambda: not self._beating, timeout=5)
+
+    def _beat_loop(self) -> None:
+        me = threading.current_thread()
+        with self._beat:
+            while self._beat_thread is me:
+                lease = self._lease
+                if lease is None:
+                    self._beat.wait()
+                    continue
+                if self._beat.wait_for(
+                        lambda: (self._lease is not lease
+                                 or self._beat_thread is not me),
+                        timeout=lease[1]):
+                    continue  # released, replaced or ended before it was due
+                job_id, _, lost = lease
+                self._beating = True
+                self._beat.release()
+                held = True
+                try:
+                    self.client.heartbeat(job_id)
+                except LeaseLost:
+                    lost.set()
+                    held = False
+                except TRANSIENT_ERRORS:
+                    pass  # a flaky beat is survivable; the next one renews
+                except Exception as error:
+                    self._log(f"heartbeat for job {job_id} failed ({error}); "
+                              f"its lease will expire")
+                    held = False
+                finally:
+                    self._beat.acquire()
+                    self._beating = False
+                    self._beat.notify_all()
+                if not held and self._lease is lease:
+                    self._lease = None
 
     def _prefetch_circuits(self, session, claimed: Dict[str, Any]) -> None:
         """Fetch every circuit digest the claimed job references but the
@@ -243,32 +320,14 @@ class FleetWorker:
         interval = float(claimed.get("heartbeat_interval_s", 1.0))
         self._log(f"claimed {claimed['experiment']} job {job_id} "
                   f"(attempt {claimed.get('attempt', 1)})")
-        done = threading.Event()
-        lost = threading.Event()
-
-        def beat() -> None:
-            while not done.wait(interval):
-                try:
-                    self.client.heartbeat(job_id)
-                except LeaseLost:
-                    lost.set()
-                    return
-                except TRANSIENT_ERRORS:
-                    # A flaky beat is survivable; the next one renews.
-                    continue
-
-        heartbeat_thread = threading.Thread(
-            target=beat, daemon=True,
-            name=f"repro-fleet-heartbeat-{job_id}")
-        heartbeat_thread.start()
+        lost = self._hold_lease(job_id, interval)
         if self.claim_delay:
-            # The drill window: lease held (the heartbeat thread is
-            # already beating), execution not started — the moment
+            # The drill window: lease held (the beat thread is already
+            # renewing it), execution not started — the moment
             # fault-injection drills SIGKILL this process.
             self.stop_event.wait(self.claim_delay)
             if self.stop_event.is_set() or lost.is_set():
-                done.set()
-                heartbeat_thread.join(timeout=5)
+                self._release_lease()
                 return False
         session = None
         envelope = error_text = None
@@ -314,8 +373,7 @@ class FleetWorker:
                 execute_job()
         finally:
             wall_s = time.perf_counter() - start
-            done.set()
-            heartbeat_thread.join(timeout=5)
+            self._release_lease()
             # Export whatever was recorded on every outcome — even a
             # lost lease leaves a true record of what this worker did.
             self._export_spans(tracer, trace_id)

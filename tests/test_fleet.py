@@ -25,7 +25,8 @@ from repro.__main__ import main
 from repro.api import ResultStore, Session
 from repro.api.session import install_default
 from repro.fleet import FleetWorker, LeaseLost, LeaseTable, WorkerClient
-from repro.serve.jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
+from repro.serve.jobs import (DONE, FAILED, QUEUED, RUNNING, JobQueue,
+                              LocalClient)
 
 
 @pytest.fixture(autouse=True)
@@ -297,6 +298,45 @@ class TestJobQueueFleet:
             assert local_job.status == DONE and remote_job.status == DONE
         finally:
             gate.set()
+            queue.shutdown()
+
+    def test_one_beat_thread_renews_every_lease_of_a_worker(self, tmp_path):
+        """A worker heartbeats from one thread: it starts at the first
+        claim, renews each job's lease, outlives ``run(max_jobs=1)``, and
+        ends once the worker stops."""
+        queue = JobQueue(lambda: None, workers=0, lease_ttl=0.3)
+
+        def beats():
+            return queue.metrics.snapshot()["fleet"]["heartbeats"]
+
+        class BeatenSession:
+            def run(self, experiment, quick=False, force=False, **params):
+                wait_for(lambda: beats() >= seen + 2, timeout=10)
+                result = type("R", (), {})()
+                result.to_dict = lambda: envelope()
+                return result
+
+        def beat_threads():
+            return [thread for thread in threading.enumerate()
+                    if thread.name == "repro-fleet-heartbeat-w1"]
+
+        worker = FleetWorker(LocalClient(queue, "w1"), BeatenSession)
+        try:
+            assert beat_threads() == []
+            started = []
+            for key in ("k1", "k2", "k3"):
+                seen = beats()
+                job, _ = queue.submit("validation", key, True, {})
+                assert worker.run(max_jobs=1) == 1
+                assert (job.status, job.attempts) == (DONE, 1)
+                started.append(beat_threads())
+            thread, = started[0]
+            assert started == [[thread]] * 3 and thread.is_alive()
+            worker.stop_event.set()
+            assert worker.run() == 0
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
             queue.shutdown()
 
 
