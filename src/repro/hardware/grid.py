@@ -129,10 +129,6 @@ class Grid:
 
     # -- interaction neighborhoods ---------------------------------------------
 
-    def neighbors(self, site: int, max_distance: float) -> List[int]:
-        """Sites within interaction range of ``site`` (excluding itself)."""
-        return list(self.neighbor_table(max_distance)[site])
-
     def neighbor_table(self, max_distance: float) -> List[Tuple[int, ...]]:
         """Per-site neighbor tuples (nearest-first offset order), cached.
 

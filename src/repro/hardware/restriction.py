@@ -23,7 +23,6 @@ from typing import Callable, List, Sequence, Tuple
 from repro.utils.geometry import (
     EPS,
     Point,
-    euclidean,
     max_pairwise_distance,
 )
 
@@ -73,15 +72,6 @@ class Zone:
 
     centers: Tuple[Point, ...]
     radius: float
-
-    def covers(self, point: Point) -> bool:
-        """Whether ``point`` is blocked by this zone.
-
-        Operand sites themselves are always "covered" in the sense that no
-        other gate may touch them, but that is enforced by the shared-qubit
-        check; this predicate tests the disks only.
-        """
-        return any(euclidean(point, c) < self.radius - EPS for c in self.centers)
 
     def intersects(self, other: "Zone") -> bool:
         """Open-disk union intersection test between two zones."""

@@ -140,14 +140,6 @@ class Topology:
                     return False
         return True
 
-    def neighbors(self, site: int) -> List[int]:
-        """Active sites within interaction range of ``site``."""
-        table = self.grid.neighbor_table(self.max_interaction_distance)
-        if not self._lost:
-            return list(table[site])
-        lost = self._lost
-        return [s for s in table[site] if s not in lost]
-
     # -- graph queries ------------------------------------------------------------
 
     def shortest_path(self, source: int, target: int) -> Optional[List[int]]:

@@ -34,17 +34,16 @@ class TestGrid:
         assert Grid.square(10).max_distance() == pytest.approx(math.hypot(9, 9))
 
     def test_neighbors_distance_1(self):
-        grid = Grid(3, 3)
-        assert sorted(grid.neighbors(4, 1.0)) == [1, 3, 5, 7]
-        assert sorted(grid.neighbors(0, 1.0)) == [1, 3]
+        table = Grid(3, 3).neighbor_table(1.0)
+        assert sorted(table[4]) == [1, 3, 5, 7]
+        assert sorted(table[0]) == [1, 3]
 
     def test_neighbors_distance_sqrt2(self):
-        grid = Grid(3, 3)
-        assert len(grid.neighbors(4, math.sqrt(2))) == 8
+        assert len(Grid(3, 3).neighbor_table(math.sqrt(2))[4]) == 8
 
     def test_neighbors_sorted_nearest_first(self):
         grid = Grid(5, 5)
-        nbrs = grid.neighbors(12, 2.0)
+        nbrs = grid.neighbor_table(2.0)[12]
         dists = [grid.distance(12, n) for n in nbrs]
         assert dists == sorted(dists)
 
@@ -117,11 +116,6 @@ class TestTopologyInteraction:
         topo = Topology.square(3, 2.0)
         topo.remove_atom(1)
         assert not topo.can_interact([0, 1])
-
-    def test_neighbors_exclude_lost(self):
-        topo = Topology.square(3, 1.0)
-        topo.remove_atom(1)
-        assert 1 not in topo.neighbors(0)
 
 
 def _connected(topo):

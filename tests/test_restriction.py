@@ -44,11 +44,6 @@ class TestZone:
         zone = model.zone_for([(0, 0), (0, 2)])
         assert zone.radius == pytest.approx(2.0)
 
-    def test_covers(self):
-        zone = Zone(((0.0, 0.0),), 1.5)
-        assert zone.covers((0.0, 1.0))
-        assert not zone.covers((0.0, 2.0))
-
     def test_tangent_zones_do_not_intersect(self):
         a = Zone(((0.0, 0.0),), 1.0)
         b = Zone(((0.0, 2.0),), 1.0)
