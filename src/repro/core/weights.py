@@ -11,12 +11,12 @@ frontier layer, so gates about to execute dominate and distant ones decay
 exponentially.
 
 Routing rebuilds these weights when it scores SWAPs after a gate has
-completed.  :func:`frontier_weights` does it in one walk from the frontier: it lays
-out each remaining layer and adds its gates' pairs (the DAG's cached
-per-gate pair tuples) as it goes, stopping after ``max_layers`` layers.
-Every sum is accumulated in (layer, gate, pair) order, the order of
-:func:`weights_from_layers`, so the floats and each map's insertion
-order do not depend on which of the two built them.
+completed.  :func:`frontier_weights` does it in one walk from the
+frontier: it lays out each remaining layer and adds its gates' pairs
+(the DAG's cached per-gate pair tuples) as it goes, stopping after
+``max_layers`` layers.  Every sum is accumulated in (layer, gate, pair)
+order, the order of :func:`weights_from_layers`, so the floats and each
+map's insertion order do not depend on which of the two built them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ class InteractionWeights:
 
     One map per qubit: ``_per_qubit[u][v]`` and ``_per_qubit[v][u]``
     receive the same additions in the same order, so they stay equal bit
-    for bit and every pair query is answered from either side.
+    for bit and every pair query is answered from either side.  The
+    router's inner loop reads ``_per_qubit`` directly, in its insertion
+    order.
     """
 
     def __init__(self) -> None:
