@@ -29,6 +29,7 @@ import socket
 import sys
 import threading
 import time
+import traceback
 import urllib.error
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -260,9 +261,10 @@ class FleetWorker:
                     held = False
                 except TRANSIENT_ERRORS:
                     pass  # a flaky beat is survivable; the next one renews
-                except Exception as error:
-                    self._log(f"heartbeat for job {job_id} failed ({error}); "
-                              f"its lease will expire")
+                except Exception:
+                    # Stop renewing this lease, which then expires, but
+                    # keep the thread for the worker's next job.
+                    traceback.print_exc()
                     held = False
                 finally:
                     self._beat.acquire()

@@ -469,6 +469,38 @@ class TestJobQueueUnit:
             sys.setswitchinterval(interval)
             queue.shutdown()
 
+    def test_busy_loops_keep_every_lease_under_thread_contention(self):
+        """Stress: four loops, each renewing its leases from its one beat
+        thread, run jobs that outlive the lease under a short switch
+        interval; no lease lapses, so no job runs twice."""
+        runs = []
+
+        class SlowSession:
+            def run(self, experiment, quick=False, force=False, **params):
+                runs.append(experiment)
+                time.sleep(0.3 + 0.1 * (len(runs) % 4))
+                result = type("FakeResult", (), {})()
+                result.to_dict = envelope
+                return result
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        queue = JobQueue(SlowSession, workers=4, lease_ttl=0.25)
+        try:
+            jobs = [queue.submit("validation", f"k{i}", False, {})[0]
+                    for i in range(12)]
+            for job in jobs:
+                assert job.wait(timeout=30)
+            assert [job.status for job in jobs] == [DONE] * len(jobs)
+            assert [job.attempts for job in jobs] == [1] * len(jobs)
+            assert len(runs) == len(jobs)
+            fleet = queue.metrics.snapshot()["fleet"]
+            assert fleet["leases_reclaimed"] == 0
+            assert fleet["heartbeats"] >= 2 * len(jobs)
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown()
+
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_keyboard_interrupt_ends_the_loop_and_the_job_reruns(self):
