@@ -16,8 +16,6 @@ from repro.analysis.success import (
     calibrate_two_qubit_error,
     compare_architectures,
     error_sweep,
-    largest_runnable_size,
-    size_curve,
     success_curve,
     valid_sizes,
 )
@@ -33,9 +31,7 @@ __all__ = [
     "compare_architectures",
     "compiled_metrics",
     "error_sweep",
-    "largest_runnable_size",
     "neutral_atom_arch",
-    "size_curve",
     "success_curve",
     "superconducting_arch",
     "trapped_ion_arch",

@@ -144,7 +144,7 @@ def size_ladder_grid_map(
     ``cells`` is a sequence of ``(benchmark, arch, sizes)``; the result
     holds one ladder per cell, each truncated at (excluding) its first
     size that fails to compile — the serial break-at-first-error
-    semantics of :func:`largest_runnable_size` — so curves built from
+    semantics of :func:`_serial_ladder` — so curves built from
     the ladders are identical at any worker count.  Single-job runs keep
     the short-circuit (nothing past a failing rung compiles); parallel
     runs trade speculative compilation of later rungs for wall-clock,
@@ -178,15 +178,6 @@ def size_ladder_grid_map(
     return ladders
 
 
-def size_ladder_metrics(
-    benchmark: str,
-    arch: Architecture,
-    sizes: Sequence[int],
-) -> List[ProgramMetrics]:
-    """One-cell convenience wrapper over :func:`size_ladder_grid_map`."""
-    return size_ladder_grid_map([(benchmark, arch, sizes)])[0]
-
-
 def largest_runnable_from(
     ladder: Sequence[ProgramMetrics],
     arch: Architecture,
@@ -200,45 +191,6 @@ def largest_runnable_from(
         if metrics.success_rate(noise) >= threshold:
             best = max(best, metrics.num_qubits)
     return best
-
-
-def largest_runnable_size(
-    benchmark: str,
-    arch: Architecture,
-    two_qubit_error: float,
-    sizes: Sequence[int],
-    threshold: float = SIZE_THRESHOLD,
-) -> int:
-    """Fig 8's y-value: the largest size whose success beats ``threshold``.
-
-    Returns 1 when even the smallest size fails (the paper's curves bottom
-    out at 1).  Repeated calls over the same sizes are cheap: the
-    compiles behind the ladder are memoized by ``compiled_metrics``.
-    """
-    return largest_runnable_from(
-        _serial_ladder(benchmark, arch, sizes), arch, two_qubit_error,
-        threshold,
-    )
-
-
-def size_curve(
-    benchmark: str,
-    arch: Architecture,
-    errors: Sequence[float],
-    sizes: Sequence[int],
-    threshold: float = SIZE_THRESHOLD,
-) -> List[Tuple[float, int]]:
-    """(two-qubit error, largest runnable size) pairs for Fig 8.
-
-    The size ladder compiles as one task grid over the sweep engine;
-    the per-error thresholding is then a cheap serial pass over the
-    in-memory metrics.
-    """
-    ladder = size_ladder_metrics(benchmark, arch, sizes)
-    return [
-        (error, largest_runnable_from(ladder, arch, error, threshold))
-        for error in errors
-    ]
 
 
 def calibrate_two_qubit_error(

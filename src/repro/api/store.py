@@ -246,34 +246,12 @@ class ResultStore:
             # degrade is announced once on stderr.
             self.disk.warn_unwritable(error)
 
-    @staticmethod
-    def _parse_ledger_lines(lines) -> List[Dict[str, Any]]:
-        entries = []
-        for line in lines:
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(entry, dict):
-                entries.append(entry)
-        return entries
-
-    def ledger_entries(self) -> List[Dict[str, Any]]:
-        """Every ledger line, oldest first (malformed lines skipped)."""
-        try:
-            with open(self.ledger_path(), "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return []
-        return self._parse_ledger_lines(lines)
-
     def tail(self, n: int) -> List[Dict[str, Any]]:
         """The valid entries among the last ``n`` ledger lines, oldest
         first — **bounded**: reads backwards from the end of the file in
         fixed-size blocks, so a long-lived server polling its recent
         activity never pays for (or holds in memory) the whole
-        append-only history.  Malformed lines in the window are skipped,
-        like :meth:`ledger_entries`.
+        append-only history.  Malformed lines in the window are skipped.
         """
         if n <= 0:
             return []
@@ -297,10 +275,15 @@ class ResultStore:
         if position > 0:
             # The first chunk border almost certainly split a line.
             lines = lines[1:]
-        tail_lines = [line for line in lines if line][-n:]
-        return self._parse_ledger_lines(
-            line.decode("utf-8", "replace") for line in tail_lines
-        )
+        entries = []
+        for line in [line for line in lines if line][-n:]:
+            try:
+                entry = json.loads(line.decode("utf-8", "replace"))
+            except ValueError:
+                continue
+            if isinstance(entry, dict):
+                entries.append(entry)
+        return entries
 
     # -- maintenance -------------------------------------------------------------
 

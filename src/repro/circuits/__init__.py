@@ -9,7 +9,6 @@ from repro.circuits.dag import CircuitDag, Frontier, interaction_pairs
 from repro.circuits.digest import (
     CIRCUIT_REF_PREFIX,
     circuit_digest,
-    circuit_ref,
     is_circuit_digest,
     parse_circuit_ref,
 )
@@ -21,12 +20,6 @@ from repro.circuits.decompose import (
     decompose_swap,
 )
 from repro.circuits.gates import Gate
-from repro.circuits.optimize import (
-    cancel_self_inverses,
-    merge_rotations,
-    optimization_report,
-    optimize_circuit,
-)
 from repro.circuits.qasm import SUPPORTED_QASM_GATES, from_qasm, to_qasm
 
 __all__ = [
@@ -37,7 +30,6 @@ __all__ = [
     "Gate",
     "SUPPORTED_QASM_GATES",
     "circuit_digest",
-    "circuit_ref",
     "is_circuit_digest",
     "parse_circuit_ref",
     "decompose_ccx",
@@ -46,10 +38,6 @@ __all__ = [
     "decompose_mcx",
     "decompose_swap",
     "from_qasm",
-    "cancel_self_inverses",
-    "merge_rotations",
-    "optimization_report",
-    "optimize_circuit",
     "interaction_pairs",
     "to_qasm",
 ]

@@ -46,17 +46,6 @@ class Circuit:
         for gate in gates:
             self.append(gate)
 
-    def compose(self, other: "Circuit") -> "Circuit":
-        """Return a new circuit running ``self`` then ``other``.
-
-        The register must be at least as large as ``other``'s.
-        """
-        if other.num_qubits > self.num_qubits:
-            raise ValueError("cannot compose a larger circuit onto a smaller one")
-        combined = Circuit(self.num_qubits, self._gates)
-        combined.extend(other.gates)
-        return combined
-
     def copy(self) -> "Circuit":
         return Circuit(self.num_qubits, self._gates)
 
@@ -125,23 +114,7 @@ class Circuit:
         """
         return Counter(g.arity for g in self._gates if not g.is_measurement)
 
-    def parallelism(self) -> float:
-        """Mean gates per logical layer — the paper's notion of how
-        "inherently parallel" a benchmark is (§IV-A)."""
-        depth = self.depth()
-        if depth == 0:
-            return 0.0
-        return len(self._gates) / depth
-
     # -- transformation ------------------------------------------------------
-
-    def remapped(self, mapping: Dict[int, int], num_qubits: Optional[int] = None) -> "Circuit":
-        """Return a copy with qubit indices translated through ``mapping``."""
-        size = num_qubits if num_qubits is not None else self.num_qubits
-        out = Circuit(size)
-        for gate in self._gates:
-            out.append(gate.remap(mapping))
-        return out
 
     def without_measurements(self) -> "Circuit":
         return Circuit(

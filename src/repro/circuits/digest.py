@@ -69,21 +69,6 @@ def is_circuit_digest(text: object) -> bool:
     return isinstance(text, str) and bool(_DIGEST_RE.match(text))
 
 
-def circuit_ref(circuit_or_digest) -> str:
-    """The ``circuit:<digest>`` workload reference for a circuit.
-
-    Accepts a :class:`Circuit` (digested here) or an existing digest
-    string; raises ``ValueError`` on anything else.
-    """
-    if isinstance(circuit_or_digest, Circuit):
-        return CIRCUIT_REF_PREFIX + circuit_digest(circuit_or_digest)
-    if is_circuit_digest(circuit_or_digest):
-        return CIRCUIT_REF_PREFIX + circuit_or_digest
-    raise ValueError(
-        f"expected a Circuit or a 64-hex digest, got {circuit_or_digest!r}"
-    )
-
-
 def parse_circuit_ref(text: object) -> Optional[str]:
     """The digest inside a ``circuit:<digest>`` reference, else ``None``.
 

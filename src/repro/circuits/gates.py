@@ -20,12 +20,6 @@ from typing import Tuple
 #: qubits are subject to readout atom loss (paper §VI).
 MEASUREMENT_NAMES = frozenset({"measure"})
 
-#: Names of gates that are their own inverse (used by equivalence checks
-#: and the reroute strategy's swap-undo bookkeeping).
-SELF_INVERSE_NAMES = frozenset(
-    {"x", "y", "z", "h", "cx", "cz", "swap", "ccx", "ccz", "cswap"}
-)
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -69,22 +63,6 @@ class Gate:
     def is_swap(self) -> bool:
         return self.name == "swap"
 
-    def on(self, *qubits: int) -> "Gate":
-        """Return a copy of this gate applied to different qubits."""
-        if len(qubits) != self.arity:
-            raise ValueError(
-                f"gate {self.name} expects {self.arity} operands, got {len(qubits)}"
-            )
-        return Gate(self.name, tuple(qubits), self.params)
-
-    def remap(self, mapping) -> "Gate":
-        """Return this gate with operands translated through ``mapping``.
-
-        ``mapping`` may be a dict or any callable-free ``__getitem__``
-        container mapping old index -> new index.
-        """
-        return Gate(self.name, tuple(mapping[q] for q in self.qubits), self.params)
-
     def __str__(self) -> str:
         params = ""
         if self.params:
@@ -118,10 +96,6 @@ def s(q: int) -> Gate:
     return Gate("s", (q,))
 
 
-def sdg(q: int) -> Gate:
-    return Gate("sdg", (q,))
-
-
 def t(q: int) -> Gate:
     return Gate("t", (q,))
 
@@ -134,20 +108,12 @@ def rx(theta: float, q: int) -> Gate:
     return Gate("rx", (q,), (theta,))
 
 
-def ry(theta: float, q: int) -> Gate:
-    return Gate("ry", (q,), (theta,))
-
-
 def rz(theta: float, q: int) -> Gate:
     return Gate("rz", (q,), (theta,))
 
 
 def cx(control: int, target: int) -> Gate:
     return Gate("cx", (control, target))
-
-
-def cz(control: int, target: int) -> Gate:
-    return Gate("cz", (control, target))
 
 
 def cphase(theta: float, control: int, target: int) -> Gate:
@@ -158,38 +124,9 @@ def rzz(theta: float, a: int, b: int) -> Gate:
     return Gate("rzz", (a, b), (theta,))
 
 
-def swap(a: int, b: int) -> Gate:
-    return Gate("swap", (a, b))
-
-
 def ccx(control_a: int, control_b: int, target: int) -> Gate:
     """Toffoli: the paper's flagship native three-qubit gate."""
     return Gate("ccx", (control_a, control_b, target))
-
-
-def ccz(a: int, b: int, c: int) -> Gate:
-    return Gate("ccz", (a, b, c))
-
-
-def cswap(control: int, a: int, b: int) -> Gate:
-    return Gate("cswap", (control, a, b))
-
-
-def mcx(controls, target: int) -> Gate:
-    """Multi-controlled X with an arbitrary number of controls.
-
-    ``mcx([c], t)`` is a CX and ``mcx([c1, c2], t)`` a Toffoli; larger
-    control counts produce ``"c3x"``, ``"c4x"`` ... names so the arity is
-    visible in printed circuits.
-    """
-    controls = tuple(int(c) for c in controls)
-    if not controls:
-        return x(target)
-    if len(controls) == 1:
-        return cx(controls[0], target)
-    if len(controls) == 2:
-        return ccx(controls[0], controls[1], target)
-    return Gate(f"c{len(controls)}x", controls + (target,))
 
 
 def measure(q: int) -> Gate:

@@ -61,10 +61,6 @@ class LossModel:
             improvement_factor=improvement_factor,
         )
 
-    @classmethod
-    def none(cls) -> "LossModel":
-        return cls(vacuum_loss=0.0, measurement_loss=0.0)
-
     # -- effective rates -----------------------------------------------------------
 
     @property

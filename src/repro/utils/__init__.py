@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG helpers, geometry, and text plots."""
 
-from repro.utils.geometry import disks_overlap, euclidean, point_in_disk
+from repro.utils.geometry import euclidean
 from repro.utils.rng import ensure_rng
 
-__all__ = ["disks_overlap", "euclidean", "point_in_disk", "ensure_rng"]
+__all__ = ["euclidean", "ensure_rng"]

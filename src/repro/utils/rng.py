@@ -57,15 +57,3 @@ def base_seed_from(rng: RngLike) -> int:
     if isinstance(rng, (int, np.integer)):
         return int(rng)
     return int(ensure_rng(rng).integers(0, 2**63 - 1))
-
-
-def spawn(rng: RngLike, count: int) -> list:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Used by experiment drivers that run several trials in a loop: each trial
-    gets its own stream so trial *k* is reproducible regardless of how many
-    draws earlier trials made.
-    """
-    base = ensure_rng(rng)
-    seeds = base.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]

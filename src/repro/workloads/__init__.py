@@ -9,13 +9,12 @@ from repro.workloads.cuccaro import (
 )
 from repro.workloads.qaoa import cut_value, qaoa_maxcut, random_graph
 from repro.workloads.qft_adder import qft, qft_adder, qft_adder_from_total_qubits
-from repro.workloads.random_circuits import ghz_circuit, qft_circuit, random_circuit
+from repro.workloads.random_circuits import random_circuit
 from repro.workloads.ref import WorkloadRef, iter_circuit_digests, resolve_circuit
 from repro.workloads.registry import (
     BENCHMARK_ORDER,
     BENCHMARKS,
     Benchmark,
-    BenchmarkInstance,
     build_circuit,
     get_benchmark,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "BENCHMARKS",
     "BENCHMARK_ORDER",
     "Benchmark",
-    "BenchmarkInstance",
     "WorkloadRef",
     "iter_circuit_digests",
     "resolve_circuit",
@@ -44,6 +42,4 @@ __all__ = [
     "qft_adder_from_total_qubits",
     "random_graph",
     "random_circuit",
-    "ghz_circuit",
-    "qft_circuit",
 ]

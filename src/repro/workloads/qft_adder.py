@@ -16,15 +16,14 @@ import math
 from typing import List, Sequence
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import cphase, h, swap
+from repro.circuits.gates import cphase, h
 
 
-def qft(qubits: Sequence[int], include_swaps: bool = False) -> List:
+def qft(qubits: Sequence[int]) -> List:
     """QFT gate list over ``qubits`` (most significant first).
 
-    ``include_swaps=False`` (default) leaves the output bit-reversed, the
-    standard trick adders use: the inverse QFT undoes the reversal, so the
-    swap network is never needed.
+    The output is left bit-reversed, the standard trick adders use: the
+    inverse QFT undoes the reversal, so the swap network is never needed.
     """
     gates = []
     n = len(qubits)
@@ -33,21 +32,13 @@ def qft(qubits: Sequence[int], include_swaps: bool = False) -> List:
         for j in range(i + 1, n):
             angle = math.pi / (2 ** (j - i))
             gates.append(cphase(angle, qubits[j], qubits[i]))
-    if include_swaps:
-        for i in range(n // 2):
-            gates.append(swap(qubits[i], qubits[n - 1 - i]))
     return gates
 
 
-def inverse_qft(qubits: Sequence[int], include_swaps: bool = False) -> List:
+def inverse_qft(qubits: Sequence[int]) -> List:
     """Inverse of :func:`qft` (conjugate phases, reversed order)."""
     gates = []
-    if include_swaps:
-        n = len(qubits)
-        for i in range(n // 2):
-            gates.append(swap(qubits[i], qubits[n - 1 - i]))
-    forward = qft(qubits, include_swaps=False)
-    for gate in reversed(forward):
+    for gate in reversed(qft(qubits)):
         if gate.name == "cphase":
             gates.append(cphase(-gate.params[0], *gate.qubits))
         else:

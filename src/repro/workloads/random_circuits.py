@@ -2,8 +2,7 @@
 
 Used by the property-based tests and useful to downstream users for
 fuzzing compilers and loss strategies: structurally random programs with
-a controllable mix of 1-, 2-, and 3-qubit gates.  Also provides GHZ-state
-preparation and a standalone QFT as additional library circuits.
+a controllable mix of 1-, 2-, and 3-qubit gates.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Sequence
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import ccx, cx, h, rx, rz, rzz
 from repro.utils.rng import RngLike, ensure_rng
-from repro.workloads.qft_adder import qft
 
 
 def random_circuit(
@@ -63,24 +61,4 @@ def random_circuit(
                                    qubits[0], qubits[1]))
         else:
             circuit.append(ccx(qubits[0], qubits[1], qubits[2]))
-    return circuit
-
-
-def ghz_circuit(num_qubits: int) -> Circuit:
-    """GHZ-state preparation: H then a CX chain."""
-    if num_qubits < 2:
-        raise ValueError("GHZ needs at least 2 qubits")
-    circuit = Circuit(num_qubits)
-    circuit.append(h(0))
-    for q in range(1, num_qubits):
-        circuit.append(cx(q - 1, q))
-    return circuit
-
-
-def qft_circuit(num_qubits: int, include_swaps: bool = True) -> Circuit:
-    """Standalone quantum Fourier transform."""
-    if num_qubits < 1:
-        raise ValueError("QFT needs at least 1 qubit")
-    circuit = Circuit(num_qubits)
-    circuit.extend(qft(list(range(num_qubits)), include_swaps=include_swaps))
     return circuit

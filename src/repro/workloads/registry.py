@@ -62,26 +62,6 @@ class Benchmark:
             )
         return self.build(num_qubits, rng)
 
-    def instance(self, num_qubits: int, rng: RngLike = 0
-                 ) -> "BenchmarkInstance":
-        """Build the circuit and report the size rounding applied."""
-        return BenchmarkInstance(
-            benchmark=self.name,
-            requested_size=num_qubits,
-            realized_size=self.realized_size(num_qubits),
-            circuit=self.circuit(num_qubits, rng=rng),
-        )
-
-
-@dataclass(frozen=True)
-class BenchmarkInstance:
-    """A built benchmark circuit plus the size rounding that produced it."""
-
-    benchmark: str
-    requested_size: int
-    realized_size: int
-    circuit: Circuit
-
 
 def _build_bv(num_qubits: int, rng: RngLike) -> Circuit:
     return bernstein_vazirani(num_qubits)

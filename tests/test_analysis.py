@@ -8,12 +8,11 @@ from repro.analysis import (
     compare_architectures,
     compiled_metrics,
     error_sweep,
-    largest_runnable_size,
     neutral_atom_arch,
-    size_curve,
     superconducting_arch,
     valid_sizes,
 )
+from repro.analysis.success import largest_runnable_from, size_ladder_grid_map
 from repro.api import Session
 from repro.core import CompilerConfig, compile_circuit
 from repro.hardware import NoiseModel, Topology
@@ -103,13 +102,18 @@ class TestSweeps:
 
     def test_largest_runnable_monotone(self):
         sizes = valid_sizes("bv", 20, step=5)
-        low = largest_runnable_size("bv", NA, 1e-5, sizes)
-        high = largest_runnable_size("bv", NA, 5e-2, sizes)
+        ladder, = size_ladder_grid_map([("bv", NA, sizes)])
+        low = largest_runnable_from(ladder, NA, 1e-5)
+        high = largest_runnable_from(ladder, NA, 5e-2)
         assert low >= high
 
     def test_size_curve_shape(self):
+        # Fig 8 builds each curve this way: one ladder, thresholded per
+        # error rate.
         sizes = valid_sizes("bv", 20, step=5)
-        curve = size_curve("bv", NA, [1e-4, 1e-2], sizes)
+        ladder, = size_ladder_grid_map([("bv", NA, sizes)])
+        curve = [(error, largest_runnable_from(ladder, NA, error))
+                 for error in [1e-4, 1e-2]]
         assert len(curve) == 2
         assert curve[0][1] >= curve[1][1]
 

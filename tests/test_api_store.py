@@ -143,7 +143,7 @@ class TestReadThrough:
         assert hit.format() == miss.format()
         assert canonical_json(hit.to_dict()) == canonical_json(miss.to_dict())
 
-        events = ResultStore(str(tmp_path / "store")).ledger_entries()
+        events = ResultStore(str(tmp_path / "store")).tail(100)
         assert [e["hit"] for e in events] == [False, True]
         assert {e["experiment"] for e in events} == {"fig10"}
         assert all(e["wall_s"] >= 0 and "timestamp" in e for e in events)
@@ -171,7 +171,7 @@ class TestReadThrough:
         forced = session.run("fig10", force=True, **TINY)
         assert isinstance(forced, ExperimentResult)
         # Both events are misses: force never reads the stored entry.
-        assert [e["hit"] for e in session.store.ledger_entries()] == [
+        assert [e["hit"] for e in session.store.tail(100)] == [
             False, False]
 
     def test_without_store_behavior_is_unchanged(self):
@@ -250,11 +250,12 @@ class TestLedgerTail:
         assert [e["key"] for e in store.tail(3)] == ["k7", "k8", "k9"]
 
     def test_tail_matches_ledger_entries_suffix(self, tmp_path):
-        """tail(n) must agree with the unbounded reader — including
+        """tail(n) must agree with a whole-file read — including
         across its internal block boundaries, hence enough entries that
         the ledger spans multiple 64 KiB read blocks."""
         store = self._write_ledger(tmp_path, 2000)
-        full = store.ledger_entries()
+        with open(store.ledger_path(), encoding="utf-8") as handle:
+            full = [json.loads(line) for line in handle]
         assert len(full) == 2000
         for n in (1, 5, 100, 1999, 2000, 5000):
             assert store.tail(n) == full[-n:]
@@ -432,7 +433,7 @@ class TestMaintenance:
         (survivor, _, _, _), = store.entries()
         assert survivor == entries[-1][0]
         # The ledger is never evicted.
-        assert store.ledger_entries()
+        assert store.tail(1)
 
     def test_gc_tie_break_is_deterministic(self, tmp_path):
         import os

@@ -20,14 +20,12 @@ from repro.api.session import install_default
 from repro.circuits import Circuit, from_qasm, to_qasm
 from repro.circuits.digest import (
     circuit_digest,
-    circuit_ref,
     is_circuit_digest,
     parse_circuit_ref,
 )
 from repro.circuits.gates import cx, h, measure, rz
 from repro.exec.keys import task_key
 from repro.workloads import (
-    BenchmarkInstance,
     WorkloadRef,
     iter_circuit_digests,
     resolve_circuit,
@@ -85,8 +83,7 @@ class TestCircuitDigest:
 
     def test_ref_spelling(self):
         digest = circuit_digest(_sample_circuit())
-        assert circuit_ref(digest) == f"circuit:{digest}"
-        assert parse_circuit_ref(circuit_ref(digest)) == digest
+        assert parse_circuit_ref(f"circuit:{digest}") == digest
         assert parse_circuit_ref("bv") is None
         with pytest.raises(ValueError, match="malformed circuit"):
             parse_circuit_ref("circuit:nothex")
@@ -314,13 +311,6 @@ class TestSizeLattice:
     def test_below_min_size_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             get_benchmark("cuccaro").realized_size(3)
-
-    def test_instance_carries_realized_metadata(self):
-        instance = get_benchmark("cuccaro").instance(11)
-        assert isinstance(instance, BenchmarkInstance)
-        assert instance.requested_size == 11
-        assert instance.realized_size == 10
-        assert instance.circuit.num_qubits == 10
 
     def test_workload_metrics_surfaces_realized_size(self):
         result = Session().run("workload-metrics", workload="cuccaro",

@@ -311,7 +311,7 @@ class TestStoreCLI:
 
         from repro.api import ResultStore
 
-        events = ResultStore(str(store)).ledger_entries()
+        events = ResultStore(str(store)).tail(100)
         assert [e["hit"] for e in events] == [False, True]
 
     def test_replay_marks_the_diagnostic(self, tmp_path, capsys):
@@ -329,7 +329,7 @@ class TestStoreCLI:
 
         from repro.api import ResultStore
 
-        events = ResultStore(str(store)).ledger_entries()
+        events = ResultStore(str(store)).tail(100)
         assert [e["hit"] for e in events] == [False, False]
 
     def test_ls_show_gc(self, capsys, tmp_path):
@@ -470,7 +470,7 @@ class TestCircuitsCLI:
         assert "replayed from result store" in captured.err
         from repro.api import ResultStore
 
-        events = ResultStore(str(tmp_path / "s")).ledger_entries()
+        events = ResultStore(str(tmp_path / "s")).tail(100)
         assert [e["hit"] for e in events] == [False, True]
         envelope = json.loads(cold)
         assert envelope["data"]["fields"]["workload"].startswith("circuit:")

@@ -11,7 +11,7 @@ from repro.circuits.decompose import (
     decompose_mcx,
     decompose_swap,
 )
-from repro.circuits.gates import Gate, ccx, ccz, cswap, cx, mcx, swap, x
+from repro.circuits.gates import Gate, ccx, cx, x
 from repro.sim import circuits_equivalent, run
 from repro.sim.equivalence import equivalent_on_clean_ancillas
 
@@ -25,7 +25,7 @@ class TestExactEquivalence:
         gates = decompose_swap(0, 1)
         assert len(gates) == 3
         assert all(g.name == "cx" for g in gates)
-        assert circuits_equivalent(as_circuit(2, [swap(0, 1)]),
+        assert circuits_equivalent(as_circuit(2, [Gate("swap", (0, 1))]),
                                    as_circuit(2, gates))
 
     def test_toffoli_six_cnots(self):
@@ -41,22 +41,24 @@ class TestExactEquivalence:
                                    as_circuit(3, gates))
 
     def test_ccz(self):
-        assert circuits_equivalent(as_circuit(3, [ccz(0, 1, 2)]),
+        assert circuits_equivalent(as_circuit(3, [Gate("ccz", (0, 1, 2))]),
                                    as_circuit(3, decompose_ccz(0, 1, 2)))
 
     def test_cswap(self):
-        assert circuits_equivalent(as_circuit(3, [cswap(0, 1, 2)]),
+        assert circuits_equivalent(as_circuit(3, [Gate("cswap", (0, 1, 2))]),
                                    as_circuit(3, decompose_cswap(0, 1, 2)))
 
     def test_mcx_three_controls(self):
         gates = decompose_mcx([0, 1, 2], 3, ancillas=[4])
         assert equivalent_on_clean_ancillas(
-            as_circuit(5, [mcx([0, 1, 2], 3)]), as_circuit(5, gates), [4])
+            as_circuit(5, [Gate("c3x", (0, 1, 2, 3))]),
+            as_circuit(5, gates), [4])
 
     def test_mcx_four_controls(self):
         gates = decompose_mcx([0, 1, 2, 3], 4, ancillas=[5, 6])
         assert equivalent_on_clean_ancillas(
-            as_circuit(7, [mcx([0, 1, 2, 3], 4)]), as_circuit(7, gates), [5, 6])
+            as_circuit(7, [Gate("c4x", (0, 1, 2, 3, 4))]),
+            as_circuit(7, gates), [5, 6])
 
 
 class TestMcxValidation:
@@ -81,7 +83,8 @@ class TestDecomposeGate:
         assert decompose_gate(x(0)) == [x(0)]
 
     def test_swap_lowered(self):
-        assert all(g.name == "cx" for g in decompose_gate(swap(0, 1)))
+        lowered = decompose_gate(Gate("swap", (0, 1)))
+        assert all(g.name == "cx" for g in lowered)
 
     def test_unknown_wide_gate_rejected(self):
         with pytest.raises(ValueError):
@@ -89,16 +92,17 @@ class TestDecomposeGate:
 
     def test_cnx_needs_ancillas(self):
         with pytest.raises(ValueError):
-            decompose_gate(mcx([0, 1, 2], 3))
+            decompose_gate(Gate("c3x", (0, 1, 2, 3)))
 
 
 class TestDecomposeCircuit:
     def test_keeps_swaps_by_default(self):
-        c = decompose_circuit(as_circuit(2, [swap(0, 1)]))
+        c = decompose_circuit(as_circuit(2, [Gate("swap", (0, 1))]))
         assert c[0].is_swap
 
     def test_lowers_swaps_on_request(self):
-        c = decompose_circuit(as_circuit(2, [swap(0, 1)]), keep_swaps=False)
+        c = decompose_circuit(as_circuit(2, [Gate("swap", (0, 1))]),
+                              keep_swaps=False)
         assert all(g.name == "cx" for g in c)
 
     def test_lowers_toffoli(self):
@@ -113,20 +117,20 @@ class TestDecomposeCircuit:
         assert kept[0].name == "ccx"
 
     def test_grows_register_for_mcx(self):
-        src = as_circuit(5, [mcx([0, 1, 2, 3], 4)])
+        src = as_circuit(5, [Gate("c4x", (0, 1, 2, 3, 4))])
         lowered = decompose_circuit(src, max_arity=2)
         assert lowered.num_qubits == 7  # 2 ancillas appended
         assert max(g.arity for g in lowered) == 2
 
     def test_mcx_then_full_lowering_equivalent(self):
-        src = as_circuit(5, [mcx([0, 1, 2, 3], 4)])
+        src = as_circuit(5, [Gate("c4x", (0, 1, 2, 3, 4))])
         lowered = decompose_circuit(src, max_arity=3)
         padded = Circuit(lowered.num_qubits, src.gates)
         ancillas = list(range(5, lowered.num_qubits))
         assert equivalent_on_clean_ancillas(padded, lowered, ancillas)
 
     def test_mcx_lowered_all_the_way_to_two_qubit(self):
-        src = as_circuit(5, [mcx([0, 1, 2, 3], 4)])
+        src = as_circuit(5, [Gate("c4x", (0, 1, 2, 3, 4))])
         lowered = decompose_circuit(src, max_arity=2)
         assert max(g.arity for g in lowered) == 2
         padded = Circuit(lowered.num_qubits, src.gates)

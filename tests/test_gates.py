@@ -45,7 +45,7 @@ class TestGateProperties:
 
     def test_is_multiqubit(self):
         assert not gates.h(0).is_multiqubit
-        assert gates.cz(0, 1).is_multiqubit
+        assert Gate("cz", (0, 1)).is_multiqubit
         assert gates.ccx(0, 1, 2).is_multiqubit
 
     def test_is_measurement(self):
@@ -53,40 +53,11 @@ class TestGateProperties:
         assert not gates.x(0).is_measurement
 
     def test_is_swap(self):
-        assert gates.swap(0, 1).is_swap
+        assert Gate("swap", (0, 1)).is_swap
         assert not gates.cx(0, 1).is_swap
 
 
-class TestGateTransforms:
-    def test_on_moves_operands(self):
-        g = gates.ccx(0, 1, 2).on(5, 6, 7)
-        assert g.qubits == (5, 6, 7)
-        assert g.name == "ccx"
-
-    def test_on_wrong_arity(self):
-        with pytest.raises(ValueError):
-            gates.cx(0, 1).on(3)
-
-    def test_remap_through_dict(self):
-        g = gates.cx(0, 1).remap({0: 9, 1: 4})
-        assert g.qubits == (9, 4)
-
-    def test_remap_preserves_params(self):
-        g = gates.rz(0.5, 0).remap({0: 3})
-        assert g.params == (0.5,)
-
-
 class TestConstructors:
-    def test_mcx_degenerate_cases(self):
-        assert gates.mcx([], 0).name == "x"
-        assert gates.mcx([1], 0).name == "cx"
-        assert gates.mcx([1, 2], 0).name == "ccx"
-
-    def test_mcx_large(self):
-        g = gates.mcx([0, 1, 2], 3)
-        assert g.name == "c3x"
-        assert g.qubits == (0, 1, 2, 3)
-
     def test_rotation_param(self):
         assert gates.rx(0.3, 1).params == (0.3,)
         assert gates.cphase(0.7, 0, 1).params == (0.7,)

@@ -9,15 +9,17 @@ checked here with ``ast``:
   files (re-exports), ``from __future__`` and statements marked
   ``# noqa: F401`` are exempt.
 * no code without a caller: every ``def`` and ``class`` under
-  ``src/repro`` is named somewhere besides its own definition, in the
-  sources, tests, benchmarks or examples.  Dunders are exempt, and a
-  package ``__init__.py``'s imports and ``__all__`` are not uses: a
-  re-export only passes a name on.
-* no code only tests reach: outside ``tests/`` too, unless
-  ``TEST_ORACLES`` says why a test needs it, or ``AWAITING_DELETION``
-  names it.  The scanner counts words, so a test-side local variable
-  that shares a name hides the definition from the first check; this
-  one never reads the tests.
+  ``src/repro`` is referred to in code somewhere in the sources, tests,
+  benchmarks or examples.  A reference is a name the code loads, an
+  attribute it reads or writes, or a name it imports
+  (:func:`code_references`).  Comments, docstrings, strings (``getattr``
+  lookups included) and names that are only assigned are not
+  references, and neither are a package ``__init__.py``'s imports: a
+  re-export only passes a name on.  Dunders are exempt, and so are the
+  hooks a library calls by name, listed in ``FRAMEWORK_CALLBACKS``.
+* no code only tests reach: the same rule without ``tests/``, unless
+  ``TEST_ORACLES`` says why a test needs the definition.  Both
+  allow-lists fail when an entry no longer needs its exemption.
 
 One more check keeps every HTTP request of the serve-protocol clients in
 one function.
@@ -25,16 +27,15 @@ one function.
 
 import ast
 import pathlib
-import re
-from collections import Counter
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 #: Where a name in ``src/repro`` may be used.
 CALLER_ROOTS = ("src", "tests", "perfbench", "benchmarks", "examples")
 
-#: Definitions only tests reach that stay: documented API, references
-#: a test checks other code against, or values a paper-claim test reads.
+#: Definitions only tests reach that stay: API the README documents,
+#: references a test checks other code against, or values a paper-claim
+#: test reads.
 TEST_ORACLES = {
     "circuit_qasm": "README documents RemoteSession.circuit_qasm",
     "decode_sum": "reads a Cuccaro/QFT adder's sum to check the circuit",
@@ -52,22 +53,22 @@ TEST_ORACLES = {
     "reloads_per_success": "reload claim (ext-ejection-readout)",
     "std_fraction": "loss-tolerance spread claim (fig10 runner)",
     "circuits_equivalent": "statevector equivalence the decomposition "
-                           "and optimizer tests check circuits against",
+                           "tests check circuits against",
     "equivalent_on_clean_ancillas": "the same check for decompositions "
                                     "that borrow ancillas",
+    "SessionProtocol": "README documents the surface Session and "
+                       "RemoteSession share",
+    "validate_exposition": "README documents the in-tree check of the "
+                           "Prometheus exposition",
+    "conflict": "pairwise zone overlap the compiled schedules are checked "
+                "against (test_properties.py)",
 }
 
-#: Reached only by their own unit tests; each goes, with that test, in
-#: a later change (ROADMAP 7(d)).
-AWAITING_DELETION = {
-    "size_curve": "repro.analysis.success",
-    "circuit_ref": "repro.circuits.digest",
-    "optimize_circuit": "repro.circuits.optimize",
-    "optimization_report": "repro.circuits.optimize",
-    "point_in_disk": "repro.utils.geometry",
-    "disks_overlap": "repro.utils.geometry",
-    "ghz_circuit": "repro.workloads.random_circuits",
-    "qft_circuit": "repro.workloads.random_circuits",
+#: Methods a library calls by a name it looks up, so no code here names
+#: them.
+FRAMEWORK_CALLBACKS = {
+    "log_message": "http.server calls ReproHandler.log_message for each "
+                   "request it logs",
 }
 
 
@@ -175,34 +176,34 @@ def test_no_unused_module_level_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def _caller_text(path):
-    """The text of ``path`` whose words count as uses: all of it, less
-    a package ``__init__.py``'s imports and ``__all__``."""
-    text = path.read_text(encoding="utf-8")
-    if path.name != "__init__.py":
-        return text
-    lines = text.splitlines()
-    tree = ast.parse(text, filename=str(path))
-    reexports = list(_module_imports(tree))
-    reexports += [node for node in tree.body if _is_all(node)]
-    for node in reexports:
-        for index in range(node.lineno - 1, node.end_lineno):
-            lines[index] = ""
-    return "\n".join(lines)
+def code_references(path):
+    """The names the code in ``path`` refers to: every name it loads,
+    every attribute it reads or writes, and every name it imports,
+    except the imports of a package ``__init__.py`` (re-exports)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reexports = path.name == "__init__.py"
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and not reexports):
+            names.update(alias.name.rpartition(".")[2]
+                         for alias in node.names)
+    return names
 
 
 def uncalled_definitions(package, roots):
     """``(path, line, name)`` of each ``def``/``class`` under ``package``
-    whose name appears in no ``.py`` file under ``roots`` except at its
-    own definitions.  A name counts wherever it occurs as a word —
-    code, strings (``getattr``, probes) and comments alike — except in
-    a package's re-exports (:func:`_caller_text`)."""
-    words = Counter()
+    that no ``.py`` file under ``roots`` refers to in code
+    (:func:`code_references`).  Dunders are exempt."""
+    referenced = set()
     for root in roots:
         for path in root.rglob("*.py"):
-            words.update(re.findall(r"\w+", _caller_text(path)))
-    defined = Counter()
-    first = {}
+            referenced |= code_references(path)
+    found = []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -212,10 +213,9 @@ def uncalled_definitions(package, roots):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            defined[name] += 1
-            first.setdefault(name, (path, node.lineno))
-    return sorted((*first[name], name) for name, count in defined.items()
-                  if words[name] <= count)
+            if name not in referenced:
+                found.append((path, node.lineno, name))
+    return sorted(found)
 
 
 def test_scanner_flags_only_definitions_without_callers(tmp_path):
@@ -227,9 +227,13 @@ def test_scanner_flags_only_definitions_without_callers(tmp_path):
         "        self.x = helper()\n"
         "    def orphan_method(self):\n"
         "        pass\n"
+        "    def called_method(self):\n"
+        "        pass\n"
         "def helper():\n"
-        "    return getattr(Used, 'looked_up')\n"
+        "    return getattr(Used, 'looked_up')  # not commented_out()\n"
         "def looked_up():\n"
+        "    pass\n"
+        "def commented_out():\n"
         "    pass\n"
         "def tested():\n"
         "    pass\n"
@@ -238,6 +242,8 @@ def test_scanner_flags_only_definitions_without_callers(tmp_path):
         "def shadowed():\n"
         "    pass\n"
         "def reexported():\n"
+        "    pass\n"
+        "def imported():\n"
         "    pass\n",
         encoding="utf-8")
     # A re-export passes the name on; it does not call it.
@@ -245,40 +251,49 @@ def test_scanner_flags_only_definitions_without_callers(tmp_path):
         "from pkg.mod import Used, reexported\n"
         "__all__ = ['Used', 'reexported']\n",
         encoding="utf-8")
+    # An attribute and an import are references.
+    (package / "use.py").write_text(
+        "from pkg.mod import imported\n"
+        "Used().called_method()\n",
+        encoding="utf-8")
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_mod.py").write_text(
         "from pkg.mod import Used, tested\n"
         "shadowed = 1  # a local that only shares the name\n",
         encoding="utf-8")
+    # A name only in a string (looked_up), only in a comment
+    # (commented_out) or only assigned (shadowed) has no caller, though
+    # each occurs as a word.
     found = uncalled_definitions(package, [tmp_path / "src", tests])
     assert [(line, name) for _, line, name in found] == [
-        (4, "orphan_method"), (12, "Orphan"), (16, "reexported")]
-    # Without the tests, what only they reach (or seem to) shows.
+        (4, "orphan_method"), (10, "looked_up"), (12, "commented_out"),
+        (16, "Orphan"), (18, "shadowed"), (20, "reexported")]
+    # Without the tests, what only they reach shows.
     found = uncalled_definitions(package, [tmp_path / "src"])
     assert [(line, name) for _, line, name in found] == [
-        (4, "orphan_method"), (10, "tested"), (12, "Orphan"),
-        (14, "shadowed"), (16, "reexported")]
+        (4, "orphan_method"), (10, "looked_up"), (12, "commented_out"),
+        (14, "tested"), (16, "Orphan"), (18, "shadowed"),
+        (20, "reexported")]
 
 
 def test_every_definition_has_a_caller():
-    found = uncalled_definitions(SRC, [REPO / root for root in CALLER_ROOTS])
-    assert not found, "definitions nothing uses:\n" + "\n".join(
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
-        for path, line, name in found)
+    found = [f"{path.relative_to(SRC.parent)}:{line}: {name}"
+             for path, line, name in uncalled_definitions(
+                 SRC, [REPO / root for root in CALLER_ROOTS])
+             if name not in FRAMEWORK_CALLBACKS]
+    assert not found, "definitions nothing uses:\n" + "\n".join(found)
 
 
 def test_no_definition_only_tests_reach():
     roots = [REPO / root for root in CALLER_ROOTS if root != "tests"]
     found = uncalled_definitions(SRC, roots)
+    exempt = {**TEST_ORACLES, **FRAMEWORK_CALLBACKS}
     unexplained = [f"{path.relative_to(SRC.parent)}:{line}: {name}"
-                   for path, line, name in found
-                   if name not in TEST_ORACLES
-                   and name not in AWAITING_DELETION]
+                   for path, line, name in found if name not in exempt]
     assert not unexplained, "definitions only tests reach:\n" + "\n".join(
         unexplained)
-    stale = (set(TEST_ORACLES) | set(AWAITING_DELETION)) - {
-        name for _, _, name in found}
+    stale = set(exempt) - {name for _, _, name in found}
     assert not stale, f"listed but no longer test-only: {sorted(stale)}"
 
 

@@ -1,15 +1,14 @@
-"""Additional property-based tests: QASM round-trips, optimizer
-semantics, and loss-runner failure injection."""
+"""Additional property-based tests: QASM round-trips and loss-runner
+failure injection."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import Circuit, from_qasm, optimize_circuit, to_qasm
+from repro.circuits import from_qasm, to_qasm
 from repro.core import CompilerConfig
 from repro.hardware import LossModel, NoiseModel, Topology
 from repro.loss import ShotRunner, make_strategy
-from repro.sim import circuits_equivalent
 from repro.workloads import build_circuit, random_circuit
 
 SETTINGS = dict(deadline=None,
@@ -22,15 +21,6 @@ SETTINGS = dict(deadline=None,
 def test_qasm_roundtrip_random_circuits(seed, num_gates, num_qubits):
     circuit = random_circuit(num_qubits, num_gates, rng=seed)
     assert from_qasm(to_qasm(circuit)) == circuit
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=25, **SETTINGS)
-def test_optimizer_preserves_semantics_on_random_circuits(seed):
-    circuit = random_circuit(4, 12, rng=seed)
-    optimized = optimize_circuit(circuit)
-    assert len(optimized) <= len(circuit)
-    assert circuits_equivalent(circuit, optimized)
 
 
 @given(seed=st.integers(0, 500),

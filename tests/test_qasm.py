@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit, from_qasm, to_qasm
-from repro.circuits.gates import ccx, cphase, cx, h, measure, rz, swap
+from repro.circuits.gates import Gate, ccx, cphase, cx, h, measure, rz
 from repro.workloads import bernstein_vazirani, cuccaro_adder, qft_adder
 
 
@@ -32,7 +32,7 @@ class TestExport:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("circuit", [
-        Circuit(3, [h(0), cx(0, 1), ccx(0, 1, 2), swap(1, 2)]),
+        Circuit(3, [h(0), cx(0, 1), ccx(0, 1, 2), Gate("swap", (1, 2))]),
         Circuit(2, [rz(0.125, 0), cphase(1.5, 0, 1)]),
         bernstein_vazirani(6),
         cuccaro_adder(2),
@@ -93,7 +93,7 @@ class TestRoundTripProperty:
                           rz(angle, qubits[0]),
                           cx(qubits[0], qubits[1]),
                           ccx(*qubits),
-                          swap(qubits[0], qubits[1]),
+                          Gate("swap", (qubits[0], qubits[1])),
                           cphase(angle, qubits[0], qubits[1])][kind])
         for qubit in sorted(draw(st.sets(
                 st.integers(0, num_qubits - 1), max_size=2))):

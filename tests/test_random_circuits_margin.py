@@ -5,8 +5,7 @@ import pytest
 from repro.core import CompilerConfig, check_compiled, compile_circuit
 from repro.experiments import ablation_margin
 from repro.hardware import Topology
-from repro.sim import run
-from repro.workloads import ghz_circuit, qft_circuit, random_circuit
+from repro.workloads import random_circuit
 
 
 class TestRandomCircuit:
@@ -46,27 +45,6 @@ class TestRandomCircuit:
             CompilerConfig(max_interaction_distance=2.0),
         )
         assert check_compiled(program, trials=3)
-
-
-class TestGhzAndQft:
-    def test_ghz_state(self):
-        sv = run(ghz_circuit(4))
-        probs = sv.probabilities()
-        assert probs[0] == pytest.approx(0.5)
-        assert probs[-1] == pytest.approx(0.5)
-
-    def test_ghz_validation(self):
-        with pytest.raises(ValueError):
-            ghz_circuit(1)
-
-    def test_qft_of_zero_is_uniform(self):
-        sv = run(qft_circuit(3))
-        assert all(abs(p - 1 / 8) < 1e-9 for p in sv.probabilities())
-
-    def test_qft_swapless_variant(self):
-        swapped = qft_circuit(4, include_swaps=True)
-        plain = qft_circuit(4, include_swaps=False)
-        assert len(swapped) == len(plain) + 2  # two terminal swaps
 
 
 class TestMarginAblation:

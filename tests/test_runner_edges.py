@@ -33,7 +33,8 @@ def _runner(strategy_name="always reload", loss_model=None):
         build_circuit("bv", 6),
         Topology.square(GRID_SIDE, MID),
         config=CompilerConfig(max_interaction_distance=MID),
-        loss_model=loss_model or LossModel.none(),
+        loss_model=loss_model or LossModel(vacuum_loss=0.0,
+                                           measurement_loss=0.0),
         rng=0,
     )
 

@@ -15,6 +15,7 @@ from repro.loss.timeline import TimelineEvent
 from repro.workloads import build_circuit
 
 NOISE = NoiseModel.neutral_atom()
+LOSSLESS = LossModel(vacuum_loss=0.0, measurement_loss=0.0)
 
 
 def runner_for(strategy_name, mid=4.0, loss_model=None, rng=0, side=10,
@@ -58,7 +59,7 @@ class TestTimelineEvents:
 
 class TestShotRunner:
     def test_no_loss_all_shots_succeed(self):
-        runner = runner_for("virtual remapping", loss_model=LossModel.none())
+        runner = runner_for("virtual remapping", loss_model=LOSSLESS)
         result = runner.run(max_shots=20)
         assert result.shots_attempted == 20
         assert result.shots_successful == 20
@@ -73,7 +74,7 @@ class TestShotRunner:
         assert result.reload_count > 0
 
     def test_target_successful_stops_early(self):
-        runner = runner_for("virtual remapping", loss_model=LossModel.none())
+        runner = runner_for("virtual remapping", loss_model=LOSSLESS)
         result = runner.run(max_shots=100, target_successful=5)
         assert result.shots_successful == 5
         assert result.shots_attempted == 5

@@ -62,7 +62,7 @@ MODELS = {
     "ejection-readout": LossModel.ejection_readout(),
     "vacuum-only": LossModel(vacuum_loss=0.1, measurement_loss=0.0),
     "measurement-only": LossModel(vacuum_loss=0.0, measurement_loss=0.3),
-    "none": LossModel.none(),
+    "none": LossModel(vacuum_loss=0.0, measurement_loss=0.0),
 }
 
 #: Shot scenarios with changing site/measured sets (exercises the

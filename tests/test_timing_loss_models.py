@@ -43,7 +43,7 @@ class TestLossModelRates:
         assert m.measurement_loss == EJECTION_READOUT_LOSS
 
     def test_none(self):
-        m = LossModel.none()
+        m = LossModel(vacuum_loss=0.0, measurement_loss=0.0)
         assert m.expected_losses_per_shot(100, 30) == 0.0
 
     def test_improvement_scales_down(self):
@@ -84,7 +84,7 @@ class TestLossModelRates:
 
 class TestLossSampling:
     def test_zero_rates_no_losses(self):
-        m = LossModel.none()
+        m = LossModel(vacuum_loss=0.0, measurement_loss=0.0)
         assert m.sample_shot_losses(range(100), range(10), rng=0) == set()
 
     def test_certain_measurement_loss(self):

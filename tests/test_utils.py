@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.utils.geometry import (
-    bounding_box,
-    disks_overlap,
-    euclidean,
-    max_pairwise_distance,
-    point_in_disk,
-)
-from repro.utils.rng import base_seed_from, ensure_rng, spawn
+from repro.utils.geometry import euclidean, max_pairwise_distance
+from repro.utils.rng import base_seed_from, ensure_rng
 from repro.utils.textplot import format_series, format_table, percent
 
 
@@ -48,14 +42,6 @@ class TestRng:
     def test_base_seed_int_passthrough(self):
         assert base_seed_from(41) == 41
 
-    def test_spawn_independent_streams(self):
-        children = spawn(0, 3)
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
-        again = [c.random() for c in spawn(0, 3)]
-        assert values == again
-
-
 class TestGeometry:
     def test_euclidean(self):
         assert euclidean((0, 0), (3, 4)) == pytest.approx(5.0)
@@ -64,20 +50,6 @@ class TestGeometry:
         pts = [(0, 0), (0, 1), (0, 5)]
         assert max_pairwise_distance(pts) == pytest.approx(5.0)
         assert max_pairwise_distance([(1, 1)]) == 0.0
-
-    def test_point_in_disk_open(self):
-        assert point_in_disk((0, 1), (0, 0), 1.5)
-        assert not point_in_disk((0, 1.5), (0, 0), 1.5)  # boundary excluded
-
-    def test_disks_overlap_open(self):
-        assert disks_overlap((0, 0), 1.0, (0, 1.5), 1.0)
-        assert not disks_overlap((0, 0), 1.0, (0, 2.0), 1.0)  # tangent
-
-    def test_bounding_box(self):
-        assert bounding_box([(1, 2), (3, 0)]) == (1, 0, 3, 2)
-        with pytest.raises(ValueError):
-            bounding_box([])
-
 
 class TestTextPlot:
     def test_table_alignment(self):
