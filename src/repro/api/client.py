@@ -230,8 +230,8 @@ class RemoteSession:
                           quick=bool(quick)):
             response, envelope = self._request("POST", "/run", {
                 "experiment": experiment,
-                "quick": quick,
-                "force": force,
+                "quick": bool(quick),
+                "force": bool(force),
                 "params": params,
                 "wait": True,
             })
@@ -327,8 +327,8 @@ class RemoteSession:
         :meth:`run` for an unknown experiment or invalid parameters."""
         _, decoded = self._request("POST", "/run", {
             "experiment": experiment,
-            "quick": quick,
-            "force": force,
+            "quick": bool(quick),
+            "force": bool(force),
             "params": params,
             "wait": False,
         })

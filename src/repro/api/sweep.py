@@ -56,6 +56,18 @@ SWEEP_SCHEMA = "repro.sweep-result"
 SWEEP_SCHEMA_VERSION = 1
 
 
+def json_flag(payload: Mapping[str, Any], name: str) -> bool:
+    """``payload[name]`` read as an on/off flag: absent or ``null`` is
+    ``False``, and any value that is not a JSON boolean raises
+    ``ValueError`` (``bool("false")`` would read as ``True``)."""
+    value = payload.get(name)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ValueError(f'"{name}" must be true or false, got {value!r}')
+    return value
+
+
 def _normalized(value: Any) -> Any:
     """Lists folded into tuples, recursively — the store's equivalence
     (``mids=[2.0]`` == ``mids=(2.0,)``), applied up front so a spec
@@ -225,7 +237,7 @@ class SweepSpec:
             raise ValueError('"base" must be an object of parameter '
                              "overrides")
         return cls(experiment, axes=axes, base=base,
-                   quick=bool(payload.get("quick", False)))
+                   quick=json_flag(payload, "quick"))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SweepSpec):

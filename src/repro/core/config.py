@@ -14,6 +14,7 @@ One :class:`CompilerConfig` captures every knob the paper sweeps:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.hardware.restriction import RADIUS_FUNCTIONS, RestrictionModel
@@ -51,6 +52,12 @@ class CompilerConfig:
     max_timestep_factor: int = 200
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below; inf is a valid all-to-all
+        # MID and stays allowed.
+        for name in ("max_interaction_distance", "zone_scale",
+                     "lookahead_decay"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got NaN")
         if self.max_interaction_distance < 1.0:
             raise ValueError("max_interaction_distance must be >= 1")
         if self.restriction_radius not in RADIUS_FUNCTIONS:

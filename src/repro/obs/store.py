@@ -17,6 +17,7 @@ run it is observing.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any, Dict, List, Tuple
 
@@ -66,6 +67,11 @@ class TraceStore:
                 continue
             if not isinstance(record.get("name"), str):
                 continue
+            # A non-finite time would reach /metrics and GET /trace as
+            # a JSON ``Infinity``/``NaN``, which strict parsers refuse.
+            if not all(_is_finite_number(record.get(field))
+                       for field in ("start", "duration_s")):
+                continue
             self.emit(record)
             if observer is not None:
                 observer(record)
@@ -112,3 +118,14 @@ class TraceStore:
 
     def __repr__(self) -> str:
         return f"TraceStore({self.path!r})"
+
+
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a non-bool number with a finite float value
+    (an int too large for a float has none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

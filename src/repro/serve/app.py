@@ -67,7 +67,7 @@ from urllib.parse import parse_qs
 from repro.api.circuits import CircuitStore
 from repro.api.registry import ExperimentSpec, all_experiments
 from repro.api.store import ResultStore, canonical_json, store_key
-from repro.api.sweep import SweepSpec
+from repro.api.sweep import SweepSpec, json_flag
 from repro.circuits.digest import circuit_digest, is_circuit_digest
 from repro.circuits.qasm import from_qasm
 from repro.workloads.ref import iter_circuit_digests
@@ -377,9 +377,6 @@ class ServeApp:
         spec = all_experiments().get(experiment)
         if spec is None:
             return _error(404, f"unknown experiment {experiment!r}")
-        quick = bool(request.get("quick", False))
-        force = bool(request.get("force", False))
-        wait = bool(request.get("wait", False))
         params = request.get("params")
         if params is None:
             params = {}
@@ -389,6 +386,9 @@ class ServeApp:
             # silently-accepted default-params run.
             return _error(400, '"params" must be a JSON object')
         try:
+            quick = json_flag(request, "quick")
+            force = json_flag(request, "force")
+            wait = json_flag(request, "wait")
             resolved = spec.resolved_params(quick=quick, overrides=params)
             key = store_key(experiment, resolved)
             missing = self._missing_circuits(resolved)
@@ -447,8 +447,8 @@ class ServeApp:
             # 404 before spec validation, matching POST /run's split
             # between "no such experiment" and "bad parameters".
             return _error(404, f"unknown experiment {experiment!r}")
-        force = bool(request.get("force", False))
         try:
+            force = json_flag(request, "force")
             spec = SweepSpec.from_dict(request)
             missing = self._missing_circuits(
                 {"base": spec.base, "axes": spec.axes})

@@ -33,6 +33,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CompilerConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", [
+        "max_interaction_distance", "zone_scale", "lookahead_decay"])
+    def test_nan_rejected_by_name(self, field):
+        with pytest.raises(ValueError, match=field):
+            CompilerConfig(**{field: float("nan")})
+
+    def test_infinite_mid_allowed(self):
+        # An all-to-all device; every comparison stays meaningful.
+        config = CompilerConfig(max_interaction_distance=float("inf"))
+        assert config.max_interaction_distance == float("inf")
+
     def test_max_timestep_factor_message(self):
         # A factor below 1 used to be accepted, and then every compile with
         # gates failed with "no progress after 0 timesteps".

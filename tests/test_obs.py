@@ -944,6 +944,36 @@ class TestServeAppTracing:
         finally:
             app.jobs.shutdown()
 
+    @pytest.mark.parametrize("field", ["start", "duration_s"])
+    @pytest.mark.parametrize("value", [
+        "1e999", "-1e999", "NaN", "true", '"0.5"', "null",
+        pytest.param("1" + "0" * 400, id="int-beyond-float")])
+    def test_trace_ingestion_skips_non_finite_times(self, tmp_path, field,
+                                                     value):
+        tracer = Tracer(TraceStore(str(tmp_path / "traces")))
+        app = _make_app(tmp_path, tracer=tracer, workers=0)
+        try:
+            trace_id = new_trace_id()
+            times = {"start": "1.0", "duration_s": "0.25", field: value}
+            body = ('{"spans": [{"trace": "%s", "name": "compile", '
+                    '"start": %s, "duration_s": %s}]}'
+                    % (trace_id, times["start"], times["duration_s"]))
+            response = app.handle("POST", "/trace", body.encode())
+            assert json.loads(response.body)["accepted"] == 0
+
+            def strict(constant):
+                raise AssertionError(f"non-JSON constant {constant}")
+
+            for path in ("/metrics", f"/trace/{trace_id}"):
+                json.loads(app.handle("GET", path).body,
+                           parse_constant=strict)
+            scrape = app.handle("GET", "/metrics?format=prometheus")
+            assert not [line for line in scrape.body.decode().splitlines()
+                        if "_sum" in line
+                        and line.endswith(("Inf", "NaN"))]
+        finally:
+            app.jobs.shutdown()
+
     def test_ingested_compile_spans_feed_the_histogram(self, tmp_path):
         # A --jobs 0 server never compiles locally: its compile latency
         # histogram fills from the spans fleet workers export.

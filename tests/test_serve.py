@@ -124,6 +124,22 @@ class TestEndpoints:
             assert "JSON object" in _error_message(error)
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1, []],
+                         ids=["string-false", "0", "1", "empty-list"])
+@pytest.mark.parametrize("path, flag", [
+    ("/run", "quick"), ("/run", "force"), ("/run", "wait"),
+    ("/sweeps", "quick"), ("/sweeps", "force")])
+def test_non_boolean_flags_are_a_400(base, path, flag, value):
+    """A flag is a JSON boolean or absent/null: ``bool("false")`` would
+    run the quick preset, so anything else is refused."""
+    fields = {"experiment": "ext-trapped-ion", "quick": True, flag: value}
+    if path == "/sweeps":
+        fields["axes"] = {"program_size": [10]}
+    error = _http_error(post, base + path, **fields)
+    assert error.code == 400
+    assert f'"{flag}" must be true or false' in _error_message(error)
+
+
 class TestServingContract:
     def test_every_quick_experiment_cold_warm_and_cli_identical(
             self, base, server, capsys):
