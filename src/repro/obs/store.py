@@ -69,7 +69,7 @@ class TraceStore:
                 continue
             # A non-finite time would reach /metrics and GET /trace as
             # a JSON ``Infinity``/``NaN``, which strict parsers refuse.
-            if not all(_is_finite_number(record.get(field))
+            if not all(is_finite_number(record.get(field))
                        for field in ("start", "duration_s")):
                 continue
             self.emit(record)
@@ -120,7 +120,7 @@ class TraceStore:
         return f"TraceStore({self.path!r})"
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
     """Whether ``value`` is a non-bool number with a finite float value
     (an int too large for a float has none)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -56,7 +56,6 @@ coincidence.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import time
@@ -81,7 +80,7 @@ from repro.fleet.protocol import (
     validate_worker_id,
 )
 from repro.obs import trace as _obs
-from repro.obs.store import TraceStore
+from repro.obs.store import TraceStore, is_finite_number
 from repro.serve.jobs import FAILED, JobQueue
 from repro.serve.metrics import ServeMetrics
 from repro.serve.sweeps import SweepTable
@@ -625,10 +624,8 @@ class ServeApp:
         tasks_executed = payload.get("tasks_executed")
         # bool is an int to isinstance, and json.loads turns 1e999 into
         # inf: both would poison /jobs and the latency histograms.
-        if wall_s is not None and (
-                isinstance(wall_s, bool)
-                or not isinstance(wall_s, (int, float))
-                or not math.isfinite(wall_s) or wall_s < 0):
+        if wall_s is not None and (not is_finite_number(wall_s)
+                                   or wall_s < 0):
             return _error(400, '"wall_s" must be a finite number >= 0',
                           "ValueError")
         if tasks_executed is not None and (

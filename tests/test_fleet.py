@@ -555,8 +555,10 @@ class TestFleetOverHTTP:
         '"tasks_executed": true',
         '"tasks_executed": -1',
         '"tasks_executed": 2.5',
+        '"wall_s": 1' + "0" * 400,
     ], ids=["inf-and-bool", "inf-wall", "nan-wall", "negative-wall",
-            "bool-wall", "bool-tasks", "negative-tasks", "float-tasks"])
+            "bool-wall", "bool-tasks", "negative-tasks", "float-tasks",
+            "int-beyond-float-wall"])
     def test_complete_rejects_non_finite_or_mistyped_numbers(self, base,
                                                              numbers):
         """``json.loads`` reads ``1e999`` as inf and ``true`` is an int
