@@ -348,7 +348,7 @@ class SweepResult:
         entries = payload.get("cells")
         if not isinstance(entries, list):
             raise ValueError('sweep envelope needs a "cells" array')
-        quick = bool(payload.get("quick", False))
+        quick = json_flag(payload, "quick")
         cells = []
         results = []
         for index, entry in enumerate(entries):

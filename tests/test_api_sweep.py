@@ -160,6 +160,8 @@ class TestWireForms:
             SweepSpec.from_dict({"experiment": FAST, "axes": []})
         with pytest.raises(TypeError):
             SweepSpec.from_dict("not a mapping")
+        with pytest.raises(ValueError, match='"quick"'):
+            SweepSpec.from_dict({"experiment": FAST, "quick": "false"})
 
     def test_sweep_result_envelope_round_trips(self, tmp_path):
         spec = SweepSpec(FAST, axes={"program_size": (10, 20)},
@@ -176,6 +178,10 @@ class TestWireForms:
         tampered["cells"][0]["key"] = "0" * 64
         assert SweepResult.from_dict(tampered).cells[0].key == \
             result.cells[0].key
+        # bool("false") would re-key every cell under the quick preset.
+        tampered["quick"] = "false"
+        with pytest.raises(ValueError, match='"quick"'):
+            SweepResult.from_dict(tampered)
 
     def test_sweep_result_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
