@@ -18,7 +18,8 @@ Layering (each importable and testable on its own):
   share in-flight cells), and ``GET /sweeps/<id>/stream`` delivers each
   cell's envelope the moment it finalizes as line-delimited JSON;
 * :mod:`repro.serve.app` — transport-free request routing;
-* :mod:`repro.serve.http` — the ``ThreadingHTTPServer`` shell and
+* :mod:`repro.serve.http` — the ``ThreadingHTTPServer`` shell, which
+  serves each connection on a reused thread of its own, and
   :func:`build_server`, which wires the whole stack.
 
 The matching client is :class:`repro.api.client.RemoteSession`, whose

@@ -11,19 +11,31 @@ the same contract as the CLI).  ``build_server`` wires the full stack:
         -> ServeApp (routing + metrics)
         -> ReproHTTPServer
 
-Thread model: the HTTP server spawns one thread per connection (cheap:
-handlers only route, queue, and read the store), while experiment
-execution is bounded by the job queue's claim loops.  A ``wait=true``
-run request parks its connection thread on the job's completion event
-without occupying a claim loop.
+Thread model: every connection is served on a thread of its own, so a
+long sweep stream or a ``wait=true`` run never holds up another client.
+Those threads are reused rather than started per connection: a thread
+that finishes a connection waits for the next one, and the server
+starts a new thread only when none is waiting.  At most
+:data:`IDLE_CONNECTION_THREADS` wait at once; a thread finishing when
+that many already wait exits, so a burst of connections leaves no
+threads behind.  Each connection runs in a fresh
+:class:`contextvars.Context`, so nothing set while serving one request
+(session, trace context) reaches the next, as on a fresh thread.
+Experiment execution is bounded by the job queue's claim loops; a
+``wait=true`` run request parks its connection thread on the job's
+completion event without occupying a claim loop.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import os
+import queue
 import sys
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.api.circuits import CircuitStore
 from repro.api.session import Session
@@ -31,10 +43,14 @@ from repro.api.store import ResultStore
 from repro.exec.cache import CompileCache
 from repro.fleet.protocol import DEFAULT_LEASE_TTL
 from repro.obs import TRACE_HEADER, Tracer, TraceStore
-from repro.serve.app import ServeApp
+from repro.serve.app import Response, ServeApp, _error
 from repro.serve.jobs import JobQueue
 from repro.serve.metrics import ServeMetrics
 from repro.serve.sweeps import SweepTable
+
+#: Connection threads that may wait for a connection at once.  A thread
+#: that finishes a connection while this many already wait exits.
+IDLE_CONNECTION_THREADS = 8
 
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
@@ -44,17 +60,41 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self) -> None:
+        length = self._content_length()
+        if length is None:
+            # Where this body ends is unknown, so nothing after it on
+            # the connection can be read as a request: refuse, close.
+            response = _error(400, "Content-Length must be a decimal "
+                                   "integer")
+            response.headers["Connection"] = "close"
+        else:
+            body = self.rfile.read(length) if length else b""
+            response = self.server.app.handle(
+                self.command, self.path, body,
+                trace=self.headers.get(TRACE_HEADER))
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        body = self.rfile.read(length) if length > 0 else b""
-        response = self.server.app.handle(
-            self.command, self.path, body,
-            trace=self.headers.get(TRACE_HEADER))
-        if response.stream is not None:
-            self._stream(response)
-            return
+            if response.stream is not None:
+                self._stream(response)
+            else:
+                self._write(response)
+        except ConnectionError:
+            # The client hung up before its response was written; any
+            # other failure still reaches the server's handle_error.
+            self.close_connection = True
+
+    def _content_length(self) -> Optional[int]:
+        """The body length the request declares: 0 without the header,
+        ``None`` unless it is ASCII digits (``int`` also takes a sign,
+        ``_`` separators and non-ASCII digits)."""
+        value = self.headers.get("Content-Length")
+        if value is None:
+            return 0
+        value = value.strip()
+        if not (value.isascii() and value.isdigit()):
+            return None
+        return int(value)
+
+    def _write(self, response: Response) -> None:
         self.send_response(response.status)
         # JSON is the default; a route serving another media type
         # (GET /circuits/<digest> returns QASM text) sets its own.
@@ -66,22 +106,22 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(response.body)
 
-    def _stream(self, response) -> None:
+    def _stream(self, response: Response) -> None:
         """Write a streaming response with chunked transfer-encoding,
         flushing per chunk so consumers see each line the moment the
         app yields it.
 
-        A dropped client (BrokenPipe/ConnectionReset) just ends the
-        stream: the generator is closed and the connection discarded —
-        the underlying jobs are queue-owned, so nothing leaks.
+        The generator is closed however the stream ends, a dropped
+        client included: the underlying jobs are queue-owned, so
+        nothing leaks.
         """
-        self.send_response(response.status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.end_headers()
         try:
+            self.send_response(response.status)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Transfer-Encoding", "chunked")
+            for name, value in response.headers.items():
+                self.send_header(name, value)
+            self.end_headers()
             for chunk in response.stream:
                 if not chunk:
                     continue
@@ -91,8 +131,6 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                 self.wfile.flush()
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            self.close_connection = True
         finally:
             close = getattr(response.stream, "close", None)
             if close is not None:
@@ -110,11 +148,17 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
-    """The serving endpoint: one app, one queue, per-connection threads."""
-
-    daemon_threads = True
+    """The serving endpoint: one app, one queue, reused connection
+    threads (see the module docstring)."""
 
     def __init__(self, address, app: ServeApp, quiet: bool = False):
+        # Set before binding: a failed bind calls server_close().
+        self._lock = threading.Lock()
+        # Threads waiting for a connection, each with the queue it
+        # waits on; the newest is handed the next connection.
+        self._idle: List[Tuple[threading.Thread, queue.SimpleQueue]] = []
+        self._closed = False
+        self._thread_ids = itertools.count(1)
         super().__init__(address, ReproRequestHandler)
         self.app = app
         self.quiet = quiet
@@ -122,6 +166,45 @@ class ReproHTTPServer(ThreadingHTTPServer):
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to a waiting thread, or start one."""
+        with self._lock:
+            waiting = self._idle.pop()[1] if self._idle else None
+        if waiting is not None:
+            waiting.put((request, client_address))
+            return
+        threading.Thread(
+            target=self._serve_connections, args=(request, client_address),
+            name=f"repro-serve-conn-{next(self._thread_ids)}",
+            daemon=True).start()
+
+    def _serve_connections(self, request, client_address) -> None:
+        """One connection thread: serve a connection, then wait for the
+        next unless enough threads wait already or the server closed."""
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while request is not None:
+            # ThreadingMixIn's per-thread body: finish_request, then
+            # handle_error on an Exception, then shutdown_request.
+            contextvars.Context().run(self.process_request_thread,
+                                      request, client_address)
+            with self._lock:
+                if (self._closed
+                        or len(self._idle) >= IDLE_CONNECTION_THREADS):
+                    return
+                self._idle.append((threading.current_thread(), inbox))
+            request, client_address = inbox.get()
+
+    def server_close(self) -> None:
+        """Close the listening socket and end the waiting threads."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for _, inbox in idle:
+            inbox.put((None, None))
+        for thread, _ in idle:
+            thread.join()
 
     def close(self) -> None:
         """Stop accepting connections and drain the job queue."""

@@ -69,6 +69,8 @@ TEST_ORACLES = {
 FRAMEWORK_CALLBACKS = {
     "log_message": "http.server calls ReproHandler.log_message for each "
                    "request it logs",
+    "process_request": "socketserver calls ReproHTTPServer.process_request "
+                       "for each connection it accepts",
 }
 
 

@@ -8,12 +8,16 @@ identical requests perform exactly one execution (in-flight
 deduplication plus read-through sessions).
 """
 
+import contextvars
 import dataclasses
 import json
+import re
+import socket
 import sys
 import threading
 import time
 import urllib.error
+import urllib.request
 
 import pytest
 
@@ -21,6 +25,8 @@ from harness import get, post, post_text, request, wait_for
 from repro.__main__ import main
 from repro.api import Session, all_experiments, store_key
 from repro.api.session import install_default
+from repro.serve.app import Response
+from repro.serve.http import IDLE_CONNECTION_THREADS, ReproRequestHandler
 from repro.serve.jobs import DONE, FAILED, JobQueue
 from test_fleet import envelope
 
@@ -571,6 +577,260 @@ class TestSessionThreadIsolation:
             thread.join(timeout=10)
         assert seen["one"] is one
         assert seen["two"] is two
+
+
+def _connection_threads(before=()):
+    """The live connection threads of every server in this process,
+    less those in ``before``."""
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve-conn-")
+            and thread not in before]
+
+
+def _read_until_closed(sock, quiet_s=5.0):
+    """Every byte the server sends, until it closes the connection or
+    stays silent for ``quiet_s`` seconds."""
+    sock.settimeout(quiet_s)
+    received = b""
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except socket.timeout:
+            return received
+        if not chunk:
+            return received
+        received += chunk
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+
+
+class TestConnectionThreads:
+    """Connection threads are reused, never shared: each connection has
+    a thread of its own for as long as it lasts, a finished thread waits
+    for the next connection, and at most ``IDLE_CONNECTION_THREADS``
+    wait at once."""
+
+    def test_sequential_requests_reuse_a_few_threads(self, base):
+        before = _connection_threads()
+        for _ in range(50):
+            assert get(base + "/healthz")[0] == 200
+        # Every thread started is still waiting, as fewer than the cap
+        # were started: one, or a few where a request arrived before
+        # the last thread was back.
+        assert 1 <= len(_connection_threads(before)) <= 4
+
+    def test_parked_connections_do_not_hold_up_another(
+            self, base, monkeypatch):
+        from repro.api import registry
+
+        real = all_experiments()["validation"]
+        gate = threading.Event()
+
+        def gated_runner(**kwargs):
+            gate.wait(timeout=60)
+            return real.runner(**kwargs)
+
+        monkeypatch.setitem(registry._SPECS, "validation",
+                            dataclasses.replace(real, runner=gated_runner))
+        parked = IDLE_CONNECTION_THREADS + 2
+        statuses = []
+
+        def run_and_wait():
+            statuses.append(post(base + "/run", experiment="validation",
+                                 quick=True, wait=True)[0])
+
+        before = _connection_threads()
+        clients = [threading.Thread(target=run_and_wait)
+                   for _ in range(parked)]
+        try:
+            for client in clients:
+                client.start()
+            wait_for(lambda: len(_connection_threads(before)) >= parked,
+                     timeout=30)
+            start = time.monotonic()
+            with urllib.request.urlopen(base + "/healthz",
+                                        timeout=10) as response:
+                assert response.status == 200
+            assert time.monotonic() - start < 5
+            assert statuses == []
+        finally:
+            gate.set()
+            for client in clients:
+                client.join(timeout=60)
+        assert statuses == [200] * parked
+
+    def test_a_burst_leaves_at_most_the_cap_waiting(self, server):
+        before = _connection_threads()
+        burst = IDLE_CONNECTION_THREADS + 4
+        sockets = [socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=30)
+                   for _ in range(burst)]
+        try:
+            # A connection holds its thread until it sends a request.
+            wait_for(lambda: len(_connection_threads(before)) == burst,
+                     timeout=30)
+            for sock in sockets:
+                sock.sendall(HEALTHZ)
+            for sock in sockets:
+                assert _read_until_closed(sock).startswith(
+                    b"HTTP/1.1 200 ")
+        finally:
+            for sock in sockets:
+                sock.close()
+        wait_for(lambda: len(_connection_threads(before))
+                 == IDLE_CONNECTION_THREADS, timeout=30)
+
+    def test_concurrent_clients_under_fast_thread_switching(self, base):
+        """Hand-offs race threads going idle: with more clients than
+        cores and a tiny switch interval, every request is answered
+        once and no more than the cap stay idle."""
+        before = _connection_threads()
+        statuses = []
+        errors = []
+
+        def client():
+            try:
+                for _ in range(25):
+                    statuses.append(get(base + "/healthz")[0])
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        clients = [threading.Thread(target=client) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert not errors
+        assert statuses == [200] * 150
+        wait_for(lambda: len(_connection_threads(before))
+                 <= IDLE_CONNECTION_THREADS, timeout=30)
+
+    def test_each_connection_starts_in_a_fresh_context(
+            self, base, server, monkeypatch):
+        """A contextvar set, never reset, while one request is handled
+        is unset in the next request on the same thread."""
+        marker = contextvars.ContextVar("marker")
+        seen = []
+        handle = server.app.handle
+
+        def marking_handle(*args, **kwargs):
+            seen.append((threading.current_thread(), marker.get(None)))
+            marker.set("left over")
+            return handle(*args, **kwargs)
+
+        monkeypatch.setattr(server.app, "handle", marking_handle)
+        for _ in range(10):
+            assert get(base + "/healthz")[0] == 200
+        threads = [thread for thread, _ in seen]
+        assert len(set(threads)) < len(threads), "no thread was reused"
+        assert [value for _, value in seen] == [None] * len(seen)
+
+    def test_close_ends_every_waiting_thread(self, server):
+        before = _connection_threads()
+        sockets = [socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=30)
+                   for _ in range(3)]
+        try:
+            wait_for(lambda: len(_connection_threads(before)) == 3,
+                     timeout=30)
+            for sock in sockets:
+                sock.sendall(HEALTHZ)
+                assert _read_until_closed(sock).startswith(
+                    b"HTTP/1.1 200 ")
+        finally:
+            for sock in sockets:
+                sock.close()
+        waiting = _connection_threads(before)
+        wait_for(lambda: len(server._idle) == 3, timeout=30)
+        server.shutdown()
+        server.close()
+        for thread in waiting:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("length", ["-23", "abc", "1_0"])
+def test_malformed_content_length_gets_one_response(server, length):
+    """A Content-Length that is not decimal digits is a 400 that closes
+    the connection, so the body is never read as the next request."""
+    smuggled = (f"POST /run HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+                "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").encode()
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=30) as sock:
+        sock.sendall(smuggled)
+        reply = _read_until_closed(sock)
+    assert re.findall(rb"^HTTP/1\.[01] (\d{3}) ", reply,
+                      re.MULTILINE) == [b"400"]
+    assert b"\r\nConnection: close\r\n" in reply
+    assert b"Content-Length must be a decimal integer" in reply
+
+
+class _HungUpWriter:
+    """A handler's ``wfile`` after its client went away: every write
+    raises ``error``."""
+
+    def __init__(self, wfile, error):
+        self._wfile = wfile
+        self._error = error
+        self.closed = False
+
+    def write(self, data):
+        raise self._error
+
+    def flush(self):
+        pass
+
+    def close(self):
+        self.closed = True
+        self._wfile.close()
+
+
+@pytest.mark.parametrize("streamed", [False, True],
+                         ids=["plain", "streamed"])
+@pytest.mark.parametrize("error, reported", [
+    (BrokenPipeError(32, "Broken pipe"), False),
+    (ConnectionResetError(104, "Connection reset by peer"), False),
+    (RuntimeError("not a hang-up"), True)],
+    ids=["broken-pipe", "reset", "other"])
+def test_a_client_that_hung_up_is_not_an_error(
+        base, server, monkeypatch, capfd, streamed, error, reported):
+    """A response the client is no longer there to read ends the
+    connection quietly; any other failure still reaches handle_error,
+    and either way the next request is served."""
+    hung_up = []
+    setup = ReproRequestHandler.setup
+
+    def hung_up_once(handler):
+        setup(handler)
+        if not hung_up:
+            hung_up.append(handler)
+            handler.wfile = _HungUpWriter(handler.wfile, error)
+
+    monkeypatch.setattr(ReproRequestHandler, "setup", hung_up_once)
+    if streamed:
+        handle = server.app.handle
+
+        def streaming_handle(method, path, body=b"", trace=None):
+            if path == "/stream":
+                return Response(200, b"", stream=iter([b"{}\n"]))
+            return handle(method, path, body, trace=trace)
+
+        monkeypatch.setattr(server.app, "handle", streaming_handle)
+    with pytest.raises(OSError):
+        get(base + ("/stream" if streamed else "/healthz"))
+    assert get(base + "/healthz")[0] == 200
+    err = capfd.readouterr().err
+    assert ("Exception occurred during processing of request" in err) \
+        == reported
+    assert ("Traceback" in err) == reported
 
 
 SAMPLE_QASM = """OPENQASM 2.0;
