@@ -17,8 +17,8 @@ Those threads are reused rather than started per connection: a thread
 that finishes a connection waits for the next one, and the server
 starts a new thread only when none is waiting.  At most
 :data:`IDLE_CONNECTION_THREADS` wait at once; a thread finishing when
-that many already wait exits, so a burst of connections leaves no
-threads behind.  Each connection runs in a fresh
+that many already wait exits, so a burst of connections leaves at
+most that many threads behind.  Each connection runs in a fresh
 :class:`contextvars.Context`, so nothing set while serving one request
 (session, trace context) reaches the next, as on a fresh thread.
 Experiment execution is bounded by the job queue's claim loops; a
