@@ -21,22 +21,26 @@ Quick start::
     print(program.summary())
 """
 
-from repro.circuits import Circuit, Gate
-from repro.core import (
-    CompilationError,
-    CompiledProgram,
-    CompilerConfig,
-    compile_circuit,
-)
-from repro.hardware import (
-    Grid,
-    LossModel,
-    NoiseModel,
-    RestrictionModel,
-    TimingModel,
-    Topology,
-)
-from repro.loss import ShotRunner, make_strategy, max_loss_tolerance
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.circuits": ["Circuit", "Gate"],
+    "repro.core": [
+        "CompilationError",
+        "CompiledProgram",
+        "CompilerConfig",
+        "compile_circuit",
+    ],
+    "repro.hardware": [
+        "Grid",
+        "LossModel",
+        "NoiseModel",
+        "RestrictionModel",
+        "TimingModel",
+        "Topology",
+    ],
+    "repro.loss": ["ShotRunner", "make_strategy", "max_loss_tolerance"],
+})
 
 __version__ = "1.0.0"
 

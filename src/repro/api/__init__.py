@@ -29,36 +29,40 @@ anything that embeds it — the CLI, services, notebooks:
 absent from it is internal and may change without notice.
 """
 
-from repro.api.circuits import CircuitStore
-from repro.api.client import RemoteRunError, RemoteSession
-from repro.api.protocol import SessionProtocol
-from repro.api.registry import (
-    ExperimentSpec,
-    ParamSpec,
-    all_experiments,
-    get_experiment,
-    register_experiment,
-)
-from repro.api.results import (
-    RESULT_SCHEMA,
-    RESULT_SCHEMA_VERSION,
-    ExperimentResult,
-)
-from repro.api.serialize import serializable
-from repro.api.session import (
-    Session,
-    current_session,
-    default_session,
-    install_default,
-)
-from repro.api.store import ResultStore, store_key
-from repro.api.sweep import (
-    SWEEP_SCHEMA,
-    SWEEP_SCHEMA_VERSION,
-    SweepCell,
-    SweepResult,
-    SweepSpec,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api.circuits": ["CircuitStore"],
+    "repro.api.client": ["RemoteRunError", "RemoteSession"],
+    "repro.api.protocol": ["SessionProtocol"],
+    "repro.api.registry": [
+        "ExperimentSpec",
+        "ParamSpec",
+        "all_experiments",
+        "get_experiment",
+        "register_experiment",
+    ],
+    "repro.api.results": [
+        "RESULT_SCHEMA",
+        "RESULT_SCHEMA_VERSION",
+        "ExperimentResult",
+    ],
+    "repro.api.serialize": ["serializable"],
+    "repro.api.session": [
+        "Session",
+        "current_session",
+        "default_session",
+        "install_default",
+    ],
+    "repro.api.store": ["ResultStore", "store_key"],
+    "repro.api.sweep": [
+        "SWEEP_SCHEMA",
+        "SWEEP_SCHEMA_VERSION",
+        "SweepCell",
+        "SweepResult",
+        "SweepSpec",
+    ],
+})
 
 __all__ = [
     "RESULT_SCHEMA",

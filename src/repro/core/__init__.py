@@ -1,26 +1,34 @@
 """The neutral-atom compiler: the paper's primary contribution."""
 
-from repro.core.compiler import (
-    LoweredCircuit,
-    compile_circuit,
-    lower_circuit,
-    max_native_arity_for_distance,
-)
-from repro.core.config import CompilerConfig
-from repro.core.errors import (
-    CompilationError,
-    DisconnectedTopologyError,
-    SchedulingStalledError,
-)
-from repro.core.mapping import MappingError, initial_mapping
-from repro.core.result import CompiledProgram, ScheduledOp
-from repro.core.routing import SwapProposal, propose_swap, reroute_path_swaps
-from repro.core.validation import check_compiled
-from repro.core.weights import (
-    InteractionWeights,
-    frontier_weights,
-    initial_weights,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.compiler": [
+        "LoweredCircuit",
+        "compile_circuit",
+        "lower_circuit",
+        "max_native_arity_for_distance",
+    ],
+    "repro.core.config": ["CompilerConfig"],
+    "repro.core.errors": [
+        "CompilationError",
+        "DisconnectedTopologyError",
+        "SchedulingStalledError",
+    ],
+    "repro.core.mapping": ["MappingError", "initial_mapping"],
+    "repro.core.result": ["CompiledProgram", "ScheduledOp"],
+    "repro.core.routing": [
+        "SwapProposal",
+        "propose_swap",
+        "reroute_path_swaps",
+    ],
+    "repro.core.validation": ["check_compiled"],
+    "repro.core.weights": [
+        "InteractionWeights",
+        "frontier_weights",
+        "initial_weights",
+    ],
+})
 
 __all__ = [
     "CompilationError",

@@ -24,20 +24,20 @@ derived from its canonical key and compile artifacts are content-
 addressed.
 """
 
-from repro.exec.cache import (
-    CompileCache,
-    cached_compile,
-    get_cache,
-)
-from repro.exec.engine import run_tasks
-from repro.exec.grid import cell_key, grid_map
-from repro.exec.keys import (
-    SCHEMA_VERSION,
-    compile_key,
-    derive_seed,
-    task_grid,
-    task_key,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.exec.cache": ["CompileCache", "cached_compile", "get_cache"],
+    "repro.exec.engine": ["run_tasks"],
+    "repro.exec.grid": ["cell_key", "grid_map"],
+    "repro.exec.keys": [
+        "SCHEMA_VERSION",
+        "compile_key",
+        "derive_seed",
+        "task_grid",
+        "task_key",
+    ],
+})
 
 __all__ = [
     "SCHEMA_VERSION",

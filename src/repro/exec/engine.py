@@ -29,9 +29,6 @@ processes share compile work.
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional
 
 
@@ -43,6 +40,8 @@ def _worker_init(cache_dir: Optional[str],
     # (half-written state, a traceback storm, and a pool that can hang
     # in shutdown): the parent alone handles the interrupt, cancels the
     # pending futures, and lets the workers exit via pool shutdown.
+    import signal
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     # Mirror the parent session's cache policy exactly — including
@@ -89,6 +88,9 @@ def _reclaim_interrupted_temp_files(cache) -> None:
 
 def _run_pool(task_fn: Callable, tasks: List, session, jobs: int) -> List:
     """Fan ``tasks`` over a spawn-context pool of ``jobs`` workers."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.obs import trace as _trace
 
     # Trace context crosses the spawn boundary only when the sink is

@@ -1,16 +1,20 @@
 """Neutral-atom hardware models: geometry, zones, noise, timing, loss."""
 
-from repro.hardware.grid import Grid
-from repro.hardware.loss import LossModel
-from repro.hardware.noise import NoiseModel
-from repro.hardware.restriction import (
-    RestrictionModel,
-    Zone,
-    half_distance,
-    no_restriction,
-)
-from repro.hardware.timing import TimingModel
-from repro.hardware.topology import Topology
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.hardware.grid": ["Grid"],
+    "repro.hardware.loss": ["LossModel"],
+    "repro.hardware.noise": ["NoiseModel"],
+    "repro.hardware.restriction": [
+        "RestrictionModel",
+        "Zone",
+        "half_distance",
+        "no_restriction",
+    ],
+    "repro.hardware.timing": ["TimingModel"],
+    "repro.hardware.topology": ["Topology"],
+})
 
 __all__ = [
     "Grid",

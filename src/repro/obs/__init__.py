@@ -21,29 +21,33 @@ with tracing on or off (pinned by the registry-wide test in
 ``tests/test_obs.py``).
 """
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
-from repro.obs.prometheus import validate_exposition
-from repro.obs.store import TRACE_DIR_ENV, TraceStore
-from repro.obs.trace import (
-    TRACE_HEADER,
-    ActiveTrace,
-    SpanBuffer,
-    SpanHandle,
-    Tracer,
-    activate,
-    current,
-    current_trace_id,
-    format_trace_header,
-    install,
-    is_trace_id,
-    new_span_id,
-    new_trace_id,
-    parse_trace_header,
-    record_span,
-    root_span,
-    span,
-    span_record,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.metrics": ["DEFAULT_BUCKETS", "Histogram"],
+    "repro.obs.prometheus": ["validate_exposition"],
+    "repro.obs.store": ["TRACE_DIR_ENV", "TraceStore"],
+    "repro.obs.trace": [
+        "TRACE_HEADER",
+        "ActiveTrace",
+        "SpanBuffer",
+        "SpanHandle",
+        "Tracer",
+        "activate",
+        "current",
+        "current_trace_id",
+        "format_trace_header",
+        "install",
+        "is_trace_id",
+        "new_span_id",
+        "new_trace_id",
+        "parse_trace_header",
+        "record_span",
+        "root_span",
+        "span",
+        "span_record",
+    ],
+})
 
 __all__ = [
     "TRACE_HEADER",

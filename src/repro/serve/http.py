@@ -52,20 +52,33 @@ from repro.serve.sweeps import SweepTable
 #: that finishes a connection while this many already wait exits.
 IDLE_CONNECTION_THREADS = 8
 
+#: Largest request body read, in bytes: far above any QASM upload to
+#: ``POST /circuits``.  A longer declared body is a 413, left unread.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds one read or write on a connection may block.  A client that
+#: sends less body than it declared, never ends its headers, or leaves a
+#: kept-alive connection idle this long is dropped, which frees its
+#: connection thread.  Parked ``wait`` runs and sweep streams wait on
+#: the job queue, not on the socket, so they are not cut short.
+CONNECTION_TIMEOUT_S = 60.0
+
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
     """Transport shim: socket + headers in, ServeApp response out."""
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # StreamRequestHandler.setup() sets it on the connection's socket;
+    # BaseHTTPRequestHandler logs the expiry and closes the connection.
+    timeout = CONNECTION_TIMEOUT_S
 
     def _dispatch(self) -> None:
-        length = self._content_length()
-        if length is None:
-            # Where this body ends is unknown, so nothing after it on
-            # the connection can be read as a request: refuse, close.
-            response = _error(400, "Content-Length must be a decimal "
-                                   "integer")
+        length, refusal = self._body_length()
+        if refusal is not None:
+            # The body is left unread or its end is unknown, so nothing
+            # after it on the connection can be read as a request: close.
+            response = refusal
             response.headers["Connection"] = "close"
         else:
             body = self.rfile.read(length) if length else b""
@@ -82,17 +95,28 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             # other failure still reaches the server's handle_error.
             self.close_connection = True
 
-    def _content_length(self) -> Optional[int]:
-        """The body length the request declares: 0 without the header,
-        ``None`` unless it is ASCII digits (``int`` also takes a sign,
-        ``_`` separators and non-ASCII digits)."""
+    def _body_length(self) -> Tuple[int, Optional[Response]]:
+        """The body length the request declares (0 without a
+        ``Content-Length``), or the error response refusing its body:
+        any ``Transfer-Encoding`` (no route takes a chunked body), a
+        length that is not ASCII digits (``int`` also takes a sign,
+        ``_`` separators and non-ASCII digits), or a length above
+        :data:`MAX_BODY_BYTES`."""
+        if "Transfer-Encoding" in self.headers:
+            return 0, _error(400, "Transfer-Encoding is not supported; "
+                                  "send a Content-Length")
         value = self.headers.get("Content-Length")
         if value is None:
-            return 0
+            return 0, None
         value = value.strip()
         if not (value.isascii() and value.isdigit()):
-            return None
-        return int(value)
+            return 0, _error(400, "Content-Length must be a decimal "
+                                  "integer")
+        length = int(value)
+        if length > MAX_BODY_BYTES:
+            return 0, _error(413, f"request body over {MAX_BODY_BYTES} "
+                                  "bytes")
+        return length, None
 
     def _write(self, response: Response) -> None:
         self.send_response(response.status)

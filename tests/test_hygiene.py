@@ -22,10 +22,14 @@ checked here with ``ast``:
   allow-lists fail when an entry no longer needs its exemption.
 
 One more check keeps every HTTP request of the serve-protocol clients in
-one function.
+one function, and two keep the lazy package exports honest: every name
+in a package's ``__all__`` resolves, and no name a package exports
+through ``lazy_exports`` is also a submodule's name (importing the
+submodule would shadow the export).
 """
 
 import ast
+import importlib
 import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -176,6 +180,71 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def lazy_names(init):
+    """The names a package ``__init__.py`` exports through
+    ``repro._lazy.lazy_exports``: every string its mapping lists."""
+    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
+    return [constant.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"
+            for names in node.args[1].values
+            for constant in ast.walk(names)
+            if isinstance(constant, ast.Constant)]
+
+
+def shadowed_exports(init):
+    """Lazy exports of ``init``'s package that share a submodule's name.
+    Importing the submodule binds the module under that name in the
+    package, so the export would then read as the module."""
+    package = init.parent
+    submodules = ({path.stem for path in package.glob("*.py")}
+                  | {path.parent.name
+                     for path in package.glob("*/__init__.py")})
+    return sorted(set(lazy_names(init)) & submodules)
+
+
+def test_scanner_flags_exports_a_submodule_shadows(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    for path in ("__init__.py", "mod.py", "qft_adder.py", "sub/__init__.py"):
+        (package / path).touch()
+    (package / "__init__.py").write_text(
+        "from repro._lazy import lazy_exports\n"
+        "__getattr__, __dir__ = lazy_exports(globals(), {\n"
+        "    'pkg.mod': ['build', 'qft_adder'],\n"
+        "    'pkg.sub': ['sub', 'Sub'],\n"
+        "})\n",
+        encoding="utf-8")
+    assert lazy_names(package / "__init__.py") == [
+        "build", "qft_adder", "sub", "Sub"]
+    assert shadowed_exports(package / "__init__.py") == ["qft_adder", "sub"]
+
+
+def _package_inits():
+    return sorted(SRC.rglob("__init__.py"))
+
+
+def test_no_lazy_export_shares_a_submodule_name():
+    found = [f"{init.relative_to(SRC.parent)}: {name}"
+             for init in _package_inits()
+             for name in shadowed_exports(init)]
+    assert not found, "lazy exports a submodule shadows:\n" + "\n".join(found)
+
+
+def test_every_package_export_resolves():
+    """Each name in each package's ``__all__`` is an attribute of the
+    package, lazy ones included, and ``dir()`` lists it."""
+    missing = []
+    for init in _package_inits():
+        parts = init.parent.relative_to(SRC.parent).parts
+        package = importlib.import_module(".".join(parts))
+        for name in getattr(package, "__all__", ()):
+            if not hasattr(package, name) or name not in dir(package):
+                missing.append(f"{package.__name__}.{name}")
+    assert not missing, "unresolved exports:\n" + "\n".join(missing)
 
 
 def code_references(path):

@@ -26,7 +26,8 @@ from repro.__main__ import main
 from repro.api import Session, all_experiments, store_key
 from repro.api.session import install_default
 from repro.serve.app import Response
-from repro.serve.http import IDLE_CONNECTION_THREADS, ReproRequestHandler
+from repro.serve.http import (IDLE_CONNECTION_THREADS, MAX_BODY_BYTES,
+                              ReproRequestHandler)
 from repro.serve.jobs import DONE, FAILED, JobQueue
 from test_fleet import envelope
 
@@ -771,6 +772,63 @@ def test_malformed_content_length_gets_one_response(server, length):
                       re.MULTILINE) == [b"400"]
     assert b"\r\nConnection: close\r\n" in reply
     assert b"Content-Length must be a decimal integer" in reply
+
+
+def test_chunked_body_gets_one_response(server):
+    """A request with a Transfer-Encoding is a 400 that closes the
+    connection, so its chunked body is never read as the next
+    request."""
+    smuggled = (b"POST /run HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=30) as sock:
+        sock.sendall(smuggled)
+        reply = _read_until_closed(sock)
+    assert re.findall(rb"^HTTP/1\.[01] (\d{3}) ", reply,
+                      re.MULTILINE) == [b"400"]
+    assert b"\r\nConnection: close\r\n" in reply
+    assert b"Transfer-Encoding is not supported" in reply
+
+
+def test_oversized_body_is_a_413_left_unread(server, capfd):
+    """A declared body over MAX_BODY_BYTES is refused before any of it
+    is read or allocated, and the connection closes."""
+    request_head = (f"POST /circuits HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {10 ** 15}\r\n\r\n").encode()
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=30) as sock:
+        sock.sendall(request_head)
+        reply = _read_until_closed(sock)
+    assert re.findall(rb"^HTTP/1\.[01] (\d{3}) ", reply,
+                      re.MULTILINE) == [b"413"]
+    assert b"\r\nConnection: close\r\n" in reply
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert json.loads(body) == {
+        "error": f"request body over {MAX_BODY_BYTES} bytes"}
+    assert capfd.readouterr().err == ""
+
+
+def test_a_stalled_client_releases_its_thread(server, monkeypatch):
+    """A client that sends less body than it declared is dropped once a
+    read blocks for the handler's timeout, and its thread goes back to
+    waiting for the next connection."""
+    monkeypatch.setattr(ReproRequestHandler, "timeout", 0.5)
+    before = _connection_threads()
+    short = (b"POST /run HTTP/1.1\r\nHost: x\r\n"
+             b"Content-Length: 100\r\n\r\n{\"experiment\"")
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=30) as sock:
+        sock.sendall(short)
+        start = time.monotonic()
+        sock.settimeout(10)
+        assert sock.recv(65536) == b""
+        assert time.monotonic() - start < 10
+    wait_for(lambda: len(server._idle) == 1, timeout=30)
+    assert [thread for thread, _ in server._idle] \
+        == _connection_threads(before)
+    assert get(f"http://127.0.0.1:{server.port}/healthz")[0] == 200
 
 
 class _HungUpWriter:
