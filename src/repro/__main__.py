@@ -39,8 +39,8 @@ its envelope (decode each value individually).  ``--out FILE`` writes
 the payload to a file instead of stdout.
 
 ``--quick`` applies each experiment's registered reduced-parameter
-preset (the figure benchmarks' scale is hit via ``pytest benchmarks/``;
-``--quick`` here is even smaller, for a fast smoke pass).
+preset, small enough for a fast smoke pass (``tests/test_determinism.py``
+runs every preset at two worker counts).
 
 ``--jobs N`` fans sweep grids out over N worker processes; any N
 produces identical figure text because every task seeds its RNG from its
@@ -113,7 +113,8 @@ import sys
 import time
 
 from repro.api import ExperimentResult, Session, all_experiments
-from repro.api.circuits import CIRCUIT_DIR_ENV, CircuitStore
+from repro.api.circuits import (CIRCUIT_DIR_ENV, DEFAULT_CIRCUIT_DIR,
+                                CircuitStore)
 from repro.api.store import ResultStore, STORE_DIR_ENV, canonical_json
 from repro.exec.cache import CACHE_DIR_ENV
 from repro.obs import TRACE_DIR_ENV
@@ -126,10 +127,6 @@ DEFAULT_CACHE_DIR = os.path.join("~", ".cache", "repro", "compile")
 #: with --store-dir or the REPRO_STORE_DIR environment variable; `run`
 #: only uses a store when --store DIR is passed explicitly).
 DEFAULT_STORE_DIR = os.path.join("~", ".cache", "repro", "results")
-
-#: Default content-addressed circuit store (override with --circuit-dir
-#: or the REPRO_CIRCUIT_DIR environment variable).
-DEFAULT_CIRCUIT_DIR = os.path.join("~", ".cache", "repro", "circuits")
 
 #: Default trace directory for the `trace` subcommand (override with
 #: --trace-dir or the REPRO_TRACE_DIR environment variable; `run`,

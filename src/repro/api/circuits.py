@@ -25,6 +25,7 @@ right-looking name.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import Circuit
@@ -34,6 +35,10 @@ from repro.exec.diskutil import ShardedDir
 
 #: Environment variable naming the default circuit-store directory.
 CIRCUIT_DIR_ENV = "REPRO_CIRCUIT_DIR"
+
+#: The circuit store when neither a directory nor ``CIRCUIT_DIR_ENV`` is
+#: given (``~`` expanded where it is opened).
+DEFAULT_CIRCUIT_DIR = os.path.join("~", ".cache", "repro", "circuits")
 
 
 class CircuitStore:

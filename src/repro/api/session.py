@@ -28,7 +28,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Optional
 
-from repro.api.circuits import CIRCUIT_DIR_ENV, CircuitStore
+from repro.api.circuits import (CIRCUIT_DIR_ENV, DEFAULT_CIRCUIT_DIR,
+                                CircuitStore)
 from repro.api.store import ResultStore
 from repro.exec.cache import CACHE_DIR_ENV, CompileCache
 from repro.obs import trace as _obs
@@ -102,8 +103,7 @@ class Session:
         if circuits is None:
             if circuit_dir is None:
                 circuit_dir = (os.environ.get(CIRCUIT_DIR_ENV)
-                               or os.path.join(os.path.expanduser("~"),
-                                               ".cache", "repro", "circuits"))
+                               or os.path.expanduser(DEFAULT_CIRCUIT_DIR))
             circuits = CircuitStore(circuit_dir)
         self.circuits = circuits
         if tracer is None and trace_dir is not None:
@@ -130,15 +130,6 @@ class Session:
             _CURRENT.reset(token)
 
     # -- execution ---------------------------------------------------------------------
-
-    def cached_compile(self, circuit, topology, config=None,
-                       persist: bool = True):
-        """``compile_circuit`` behind this session's compile cache."""
-        from repro.exec.cache import cached_compile
-
-        return cached_compile(
-            circuit, topology, config, persist=persist, cache=self.cache
-        )
 
     def run(self, experiment: str, quick: bool = False,
             force: bool = False, **params):

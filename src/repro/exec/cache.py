@@ -150,15 +150,13 @@ def cached_compile(
     topology: Topology,
     config: Optional[CompilerConfig] = None,
     persist: bool = True,
-    cache: Optional[CompileCache] = None,
 ) -> CompiledProgram:
     """``compile_circuit`` behind a compile cache.
 
     ``circuit`` may be a :class:`~repro.core.compiler.LoweredCircuit`; it
-    shares its source circuit's key.  ``cache`` defaults to the current
-    session's (see :class:`repro.api.Session`); pass one explicitly to
-    bypass session resolution.  ``persist=False`` keeps the result out of
-    the cache entirely (the lookup still runs) — used for mid-run
+    shares its source circuit's key.  The cache is the current session's
+    (see :class:`repro.api.Session`).  ``persist=False`` keeps the result
+    out of the cache entirely (the lookup still runs) — used for mid-run
     recompilations against transient hole patterns: their keys are almost
     never seen twice, so storing them would only grow the memory tier and
     bloat the disk store without ever producing a hit.
@@ -169,8 +167,7 @@ def cached_compile(
     # compile_circuit's normalization, so equal effective compilations
     # share one key.
     config = stage_config(circuit, topology, config)
-    if cache is None:
-        cache = get_cache()
+    cache = get_cache()
     key = compile_key(circuit, topology, config)
     with _trace.span("compile", key=key[:16]) as compile_span:
         memory_before, disk_before = cache.memory_hits, cache.disk_hits

@@ -2,8 +2,8 @@
 
 Every figure module exposes ``run(...) -> <Fig>Result`` where the result
 renders the paper's rows/series via ``format()``.  Size grids default to
-the paper's full sweep but accept reduced grids so the figure benchmarks
-in ``benchmarks/`` can regenerate each figure quickly.
+the paper's full sweep but accept reduced grids, so the quick presets
+and the paper-claim tests regenerate each figure in seconds.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.architectures import (
-    DEFAULT_GRID_SIDE,
     PAPER_MIDS,
     Architecture,
     compiled_metrics,
@@ -34,16 +33,14 @@ def na_arch_for_mid(
     mid: float,
     native_max_arity: int = 2,
     restriction_radius: str = "half",
-    grid_side: int = DEFAULT_GRID_SIDE,
 ) -> Architecture:
-    """NA architecture at one MID.
+    """NA architecture at one MID, on the default grid.
 
     Figs 3-5 compile everything to 1-2 qubit gates ("all programs are
     compiled to 1 and 2 qubit gates only"), hence the default arity 2.
     """
     return neutral_atom_arch(
         mid=mid,
-        grid_side=grid_side,
         native_max_arity=native_max_arity,
         restriction_radius=restriction_radius,
     )
@@ -80,20 +77,13 @@ def savings_over_baseline(
     sizes: Sequence[int],
     mids: Sequence[float],
     metric: str,
-    native_max_arity: int = 2,
-    grid_side: int = DEFAULT_GRID_SIDE,
 ) -> List[SavingsRow]:
     """Percent reduction of ``metric`` ('gate_count' or 'depth') at each MID
-    relative to the MID-1 compilation of the same size, averaged over sizes."""
+    relative to the MID-1 compilation of the same size, averaged over sizes,
+    on :func:`na_arch_for_mid`'s default architectures."""
     rows = []
-    baseline_arch = na_arch_for_mid(
-        1.0, native_max_arity=native_max_arity, grid_side=grid_side
-    )
-    sweep_archs = [
-        na_arch_for_mid(mid, native_max_arity=native_max_arity,
-                        grid_side=grid_side)
-        for mid in mids
-    ]
+    baseline_arch = na_arch_for_mid(1.0)
+    sweep_archs = [na_arch_for_mid(mid) for mid in mids]
     # Fan the whole (size x MID) compile grid out over the sweep engine;
     # the serial aggregation below then runs entirely against the cache.
     metrics_grid_map(savings_points(benchmark, sizes,

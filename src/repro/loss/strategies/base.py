@@ -26,6 +26,7 @@ from typing import AbstractSet, Optional
 from repro.circuits.circuit import Circuit
 from repro.core.config import CompilerConfig
 from repro.core.result import CompiledProgram
+from repro.exec.cache import cached_compile
 from repro.hardware.noise import NoiseModel
 from repro.hardware.topology import Topology
 
@@ -170,9 +171,7 @@ class CopingStrategy(ABC):
         are shared — strategies must replace ``self.program``, never
         mutate it.
         """
-        from repro.api.session import current_session
-
-        return current_session().cached_compile(circuit, topology, config)
+        return cached_compile(circuit, topology, config)
 
     def _reset_adaptation(self) -> None:
         """Clear any adaptation state (virtual maps, fixups)."""

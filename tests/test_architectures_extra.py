@@ -56,9 +56,8 @@ class TestTrappedIonArchitecture:
         assert ti.depth >= na.depth
 
     def test_three_way_comparison_shapes(self):
-        result = ext_trapped_ion.run(benchmarks=("bv", "cnu"),
-                                     program_size=20)
-        for benchmark in ("bv", "cnu"):
+        result = ext_trapped_ion.run(program_size=20)
+        for benchmark in ("bv", "cnu", "cuccaro", "qft-adder", "qaoa"):
             # TI inserts no SWAPs; SC inserts some.
             assert result.metrics(benchmark, "ti").swap_count == 0
             assert result.metrics(benchmark, "sc").swap_count > 0
@@ -71,15 +70,16 @@ class TestTrappedIonArchitecture:
 class TestGeometryExtension:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_geometry.run(benchmarks=("bv", "qaoa"), grid_side=5,
-                                mids=(2.0,))
+        return ext_geometry.run(benchmarks=("bv", "qaoa", "cuccaro"),
+                                grid_side=5, mids=(2.0, 3.0))
 
     def test_square_beats_line_on_swaps(self, result):
-        for benchmark in ("bv", "qaoa"):
-            line = result.select(benchmark, "line", 2.0)
-            square = result.select(benchmark, "square", 2.0)
-            assert square.swaps <= line.swaps
-            assert square.gates <= line.gates
+        for benchmark in ("bv", "qaoa", "cuccaro"):
+            for mid in (2.0, 3.0):
+                line = result.select(benchmark, "line", mid)
+                square = result.select(benchmark, "square", mid)
+                assert square.swaps <= line.swaps
+                assert square.gates <= line.gates
 
     def test_swap_advantage_positive_for_bv(self, result):
         assert result.swap_advantage("bv", 2.0) > 0.0

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from repro.api.session import install_default
+from repro.api.session import Session, install_default
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDag, Frontier
 from repro.circuits.decompose import decompose_circuit
@@ -556,7 +556,8 @@ def test_lowered_circuit_at_another_mid_is_refused():
     with pytest.raises(ValueError, match="MID"):
         compile_circuit(lowered, topology, config)
     with pytest.raises(ValueError, match="MID"):
-        cached_compile(lowered, topology, config, cache=CompileCache())
+        with Session(cache=CompileCache()).activate():
+            cached_compile(lowered, topology, config)
 
 
 def test_lowered_circuit_under_another_config_is_refused():

@@ -150,17 +150,6 @@ def test_cached_compile_equals_direct_compile():
     assert cached.initial_layout == direct.initial_layout
 
 
-def test_explicit_cache_argument_bypasses_session():
-    """cached_compile(cache=...) ignores the active session's cache."""
-    circuit, topology, config = _inputs()
-    private = CompileCache(None)
-    with Session().activate() as session:
-        program = cached_compile(circuit, topology, config, cache=private)
-        assert program.op_count > 0
-        assert session.cache.stats()["misses"] == 0
-    assert private.stats()["misses"] == 1
-
-
 def test_get_cache_resolves_active_session():
     outer = exec_cache.get_cache()
     inner_session = Session()

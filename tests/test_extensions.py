@@ -38,6 +38,13 @@ class TestZoneAblation:
     def test_format(self, result):
         assert "Zone" in result.format()
 
+    def test_zones_never_reduce_depth(self):
+        result = ablation_zones.run(benchmarks=("qft-adder", "cuccaro"),
+                                    program_size=20, mid=4.0)
+        for benchmark in ("qft-adder", "cuccaro"):
+            assert (result.select(benchmark, "none", 1.0).depth
+                    <= result.select(benchmark, "full", 1.0).depth)
+
 
 class TestLookaheadAblation:
     @pytest.fixture(scope="class")
@@ -71,8 +78,9 @@ class TestEjectionReadout:
 
 class TestDeviceScaling:
     def test_saturation_mid_grows_with_device(self):
-        result = ext_device_scaling.run(grid_sides=(6, 10))
-        assert result.saturation_mid[10] >= result.saturation_mid[6]
+        result = ext_device_scaling.run(grid_sides=(6, 10, 14))
+        assert (result.saturation_mid[6] <= result.saturation_mid[10]
+                <= result.saturation_mid[14])
         assert "Scaling" in result.format()
 
     def test_curves_monotone_decreasing(self):
@@ -84,8 +92,7 @@ class TestDeviceScaling:
 class TestNoisyValidation:
     def test_model_agrees_with_sampling(self):
         result = ext_validation_noisy.run(
-            benchmarks=("bv",), program_size=6,
-            errors=(0.005, 0.02), shots=300,
+            program_size=6, errors=(0.005, 0.02), shots=300,
         )
         assert result.max_gap < 0.1
         assert "Monte-Carlo" in result.format()
