@@ -6,8 +6,9 @@ directed edge runs from gate *a* to gate *b* when they share a qubit and
 
 Two consumers:
 
-* the lookahead weight function walks layers *ahead of the frontier*
-  (paper §III-A, ``w(u, v) = sum_{l >= l_c} e^{-|l_c - l|}``);
+* the lookahead weight function lays out the layers *ahead of the
+  frontier* (paper §III-A, ``w(u, v) = sum_{l >= l_c} e^{-|l_c - l|}``)
+  and sums each qubit's weights along its chain of gates;
 * the scheduler pops executable gates from the frontier as their
   predecessors complete.
 """
@@ -38,6 +39,7 @@ class CircuitDag:
                 last_on_qubit[q] = idx
         self._layers: Optional[List[List[int]]] = None
         self._weight_pairs: Optional[List[Tuple[Tuple[int, int], ...]]] = None
+        self._pair_chains: Optional[List[List[Tuple[int, Tuple[int, ...]]]]] = None
 
     def __len__(self) -> int:
         return len(self.circuit)
@@ -66,6 +68,29 @@ class CircuitDag:
             self._weight_pairs = pairs
         return self._weight_pairs
 
+    def pair_chains(self) -> List[List[Tuple[int, Tuple[int, ...]]]]:
+        """Per qubit, its weight-carrying gates in program order.
+
+        Each entry is ``(gate index, partners)``: the gate's other
+        operands in operand order, which is the order in which the
+        gate's pairs (:func:`interaction_pairs`) reach this qubit.  The
+        gates on one qubit form a dependency chain, so their layers
+        strictly rise along it.  Cached, and built on first use: only
+        routing that rescores SWAPs after some progress reads it.
+        """
+        if self._pair_chains is None:
+            chains: List[List[Tuple[int, Tuple[int, ...]]]] = [
+                [] for _ in range(self.circuit.num_qubits)]
+            gates = self.circuit.gates
+            for idx, pairs in enumerate(self.weight_pairs()):
+                if pairs:
+                    qubits = gates[idx].qubits
+                    for pos, q in enumerate(qubits):
+                        chains[q].append(
+                            (idx, qubits[:pos] + qubits[pos + 1:]))
+            self._pair_chains = chains
+        return self._pair_chains
+
 
 class Frontier:
     """Mutable execution frontier over a :class:`CircuitDag`.
@@ -73,7 +98,7 @@ class Frontier:
     Tracks which gates are ready (all predecessors done).  The scheduler
     marks gates done one at a time; the lookahead weighting lays out the
     *remaining* layer structure from the ready set and the live
-    predecessor counts.
+    predecessor counts, then follows the completion log to update it.
     """
 
     def __init__(self, dag: CircuitDag):
@@ -81,7 +106,11 @@ class Frontier:
         self._remaining_preds: List[int] = [len(p) for p in dag.predecessors]
         self._done: List[bool] = [False] * len(dag)
         self._ready: Set[int] = {i for i, n in enumerate(self._remaining_preds) if n == 0}
+        self._completed: List[int] = []
         self.num_done = 0
+        #: Incremental lookahead-weight state (:mod:`repro.core.weights`),
+        #: one per weight window; it lives and dies with this frontier.
+        self.lookahead: Dict[object, object] = {}
 
     @property
     def ready(self) -> Set[int]:
@@ -99,6 +128,7 @@ class Frontier:
             raise ValueError(f"gate {idx} is not ready (unmet dependencies)")
         self._done[idx] = True
         self._ready.discard(idx)
+        self._completed.append(idx)
         self.num_done += 1
         for succ in self.dag.successors[idx]:
             self._remaining_preds[succ] -= 1
@@ -113,6 +143,11 @@ class Frontier:
         out the remaining layers from it.  Callers must not mutate it.
         """
         return self._remaining_preds
+
+    @property
+    def completed(self) -> List[int]:
+        """Executed gates in completion order.  Callers must not mutate it."""
+        return self._completed
 
 
 def interaction_pairs(gate: Gate) -> List[Tuple[int, int]]:

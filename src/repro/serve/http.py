@@ -72,6 +72,10 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     # StreamRequestHandler.setup() sets it on the connection's socket;
     # BaseHTTPRequestHandler logs the expiry and closes the connection.
     timeout = CONNECTION_TIMEOUT_S
+    # TCP_NODELAY, set by StreamRequestHandler.setup(): with Nagle's
+    # algorithm on, a response's last segment on a kept-alive connection
+    # waits for the client's delayed ACK of the one before (~40 ms).
+    disable_nagle_algorithm = True
 
     def _dispatch(self) -> None:
         length, refusal = self._body_length()
@@ -127,8 +131,20 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(response.body)))
         for name, value in response.headers.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
+        # Headers and body leave in one write, so one segment carries a
+        # small response whole.
+        self.wfile.write(self._header_block() + response.body)
+
+    def _header_block(self) -> bytes:
+        """:meth:`end_headers` without the write: the buffered status
+        line and headers, blank line included, taken off the buffer
+        (nothing for an HTTP/0.9 request, which gets a bare body)."""
+        if self.request_version == "HTTP/0.9":
+            return b""
+        self._headers_buffer.append(b"\r\n")
+        block = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        return block
 
     def _stream(self, response: Response) -> None:
         """Write a streaming response with chunked transfer-encoding,
@@ -149,9 +165,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             for chunk in response.stream:
                 if not chunk:
                     continue
-                self.wfile.write(f"{len(chunk):x}\r\n".encode())
-                self.wfile.write(chunk)
-                self.wfile.write(b"\r\n")
+                # One write per chunk: size line, data and its CRLF.
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
                 self.wfile.flush()
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()

@@ -24,10 +24,12 @@ and the record remains pollable.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
 import uuid
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.store import ResultStore
 from repro.api.sweep import SweepCell, SweepSpec
@@ -79,10 +81,14 @@ class _CellState:
 class SweepRecord:
     """One submitted sweep: cells, their lifecycle, a completion log."""
 
-    def __init__(self, sweep_id: str, spec: SweepSpec, force: bool):
+    def __init__(self, sweep_id: str, spec: SweepSpec, force: bool,
+                 on_finished: Optional[Callable[["SweepRecord"], None]]
+                 = None):
         self.id = sweep_id
         self.spec = spec
         self.force = force
+        #: Called once, when the last cell finalizes.
+        self._on_finished = on_finished
         self.created_at = time.time()
         self.cells: List[_CellState] = [_CellState(cell)
                                         for cell in spec.cells()]
@@ -109,6 +115,9 @@ class SweepRecord:
             state.wall_s = wall_s
             self._completed.append(state.cell.index)
             self._cond.notify_all()
+            last = len(self._completed) == self.total
+        if last and self._on_finished is not None:
+            self._on_finished(self)
 
     def _cell_job_done(self, state: _CellState, job: Job) -> None:
         """The queue's done-callback for one cell's job."""
@@ -201,7 +210,13 @@ class SweepRecord:
 
 
 class SweepTable:
-    """Every live sweep, keyed by id, over one store + one job queue."""
+    """Every live sweep, keyed by id, over one store + one job queue.
+
+    The table keeps every unfinished sweep and the ``max_finished``
+    finished ones submitted last.  Sweeps report their own completion
+    into a heap of finished sweeps by submission order, so a submit
+    prunes the oldest of them without looking at any other sweep.
+    """
 
     def __init__(self, store: ResultStore, jobs: JobQueue,
                  metrics: Optional[ServeMetrics] = None,
@@ -214,13 +229,20 @@ class SweepTable:
         self._max_finished = max_finished
         self._lock = threading.Lock()
         self._sweeps: Dict[str, SweepRecord] = {}
+        self._submitted = itertools.count()
+        #: Per tracked sweep, its place in submission order.
+        self._order: Dict[str, int] = {}
+        #: ``(place, id)`` of every tracked finished sweep, a min-heap.
+        self._finished: List[Tuple[int, str]] = []
 
     def submit(self, spec: SweepSpec, force: bool = False) -> SweepRecord:
         """Expand ``spec`` into one job per cell (store hits short-
         circuit; misses ride the queue's in-flight dedup)."""
-        record = SweepRecord(uuid.uuid4().hex[:12], spec, force)
+        record = SweepRecord(uuid.uuid4().hex[:12], spec, force,
+                             on_finished=self._sweep_finished)
         with self._lock:
             self._sweeps[record.id] = record
+            self._order[record.id] = next(self._submitted)
             self._prune_finished_locked()
         self.metrics.count("sweeps_submitted")
         self.metrics.count("sweep_cells_total", record.total)
@@ -261,9 +283,15 @@ class SweepTable:
         active = sum(1 for record in records if not record.finished())
         return {"tracked": len(records), "active": active}
 
+    def _sweep_finished(self, record: SweepRecord) -> None:
+        with self._lock:
+            heapq.heappush(self._finished,
+                           (self._order[record.id], record.id))
+
     def _prune_finished_locked(self) -> None:
-        finished = [sweep_id for sweep_id, record in self._sweeps.items()
-                    if record.finished()]
-        for sweep_id in finished[:max(0,
-                                      len(finished) - self._max_finished)]:
+        """Drop the finished sweeps submitted first, past the newest
+        ``max_finished``."""
+        while len(self._finished) > self._max_finished:
+            _, sweep_id = heapq.heappop(self._finished)
             del self._sweeps[sweep_id]
+            del self._order[sweep_id]

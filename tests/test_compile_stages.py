@@ -32,11 +32,11 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDag, Frontier
 from repro.circuits.decompose import decompose_circuit
 from repro.circuits.gates import ccx, cx, h
-from repro.core import compiler, routing, scheduler
+from repro.core import compiler, routing, scheduler, weights
 from repro.core.compiler import (compile_circuit, lower_circuit,
                                  max_native_arity_for_distance)
 from repro.core.config import CompilerConfig
-from repro.core.errors import CompilationError
+from repro.core.errors import CompilationError, SchedulingStalledError
 from repro.core.mapping import initial_mapping, placement_order
 from repro.core.result import CompiledProgram
 from repro.core.routing import SwapProposal, propose_swap
@@ -47,6 +47,7 @@ from repro.hardware.topology import Topology
 from repro.loss.strategies import AlwaysRecompile, LossOutcome
 from repro.loss.tolerance import max_loss_tolerance
 from repro.workloads.registry import build_circuit
+from test_routing_digests import STALLED_HOLES
 
 FAMILIES = ("bv", "cnu", "cuccaro", "qft-adder", "qaoa")
 COMPILE_MIDS = (1.0, 2.0, 3.0, 5.0)
@@ -417,6 +418,10 @@ def test_recompile_trials_match_the_reference(family, mid, seed):
 
 # -- weights and frontier layers over random progressions --------------------
 
+#: "walk" keeps the walk-or-follow policy; "follow" follows the drops on
+#: every update, whatever the window.
+POLICIES = {"walk": {}, "follow": {"SMALL_WINDOW": 0, "BATCH_SHARE": 0}}
+
 
 def random_progression_circuit(seed: int) -> Circuit:
     rng = random.Random(seed)
@@ -430,12 +435,27 @@ def random_progression_circuit(seed: int) -> Circuit:
 
 
 def per_qubit_items(weights):
-    return [(u, list(partners.items()))
-            for u, partners in weights._per_qubit.items()]
+    """Every row with its keys in order, by qubit: no consumer of the
+    weights reads the order of the rows themselves."""
+    return sorted((u, list(partners.items()))
+                  for u, partners in weights._per_qubit.items())
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_weights_and_layers_match_over_random_progressions(seed):
+    check_random_progression(seed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_followed_weights_match_over_random_progressions(seed, monkeypatch):
+    for name, value in POLICIES["follow"].items():
+        monkeypatch.setattr(weights, name, value)
+    check_random_progression(seed)
+
+
+def check_random_progression(seed):
+    """Complete random ready gates one at a time, comparing the weights
+    with the walking reference for several windows after each."""
     rng = random.Random(seed)
     dag = CircuitDag(random_progression_circuit(seed))
     frontier = Frontier(dag)
@@ -462,6 +482,76 @@ def test_weights_and_layers_match_over_random_progressions(seed):
         if frontier.all_done():
             break
         frontier.complete(rng.choice(sorted(frontier.ready)))
+
+
+# -- weights at every rescoring inside real schedules -------------------------
+
+
+def row_bits(weights):
+    """Each row's keys in order, with every weight's exact bits."""
+    return {u: [(v, w.hex()) for v, w in partners.items()]
+            for u, partners in weights._per_qubit.items()}
+
+
+def checked_compile(patch, circuit, topology, config):
+    """Compile, checking every ``frontier_weights`` call against the
+    walking reference.  Returns the compile's outcome and the number of
+    calls made after some gate had completed."""
+    returned = []
+
+    def checked(frontier, max_layers, decay):
+        actual = frontier_weights(frontier, max_layers, decay)
+        expected = row_bits(
+            reference_frontier_weights(frontier, max_layers, decay))
+        assert row_bits(actual) == expected, (frontier.num_done, max_layers)
+        returned.append((frontier.num_done, actual, expected))
+        return actual
+
+    patch.setattr(scheduler, "frontier_weights", checked)
+    try:
+        compile_circuit(circuit, topology, config)
+        result = "ok"
+    except CompilationError as error:
+        result = type(error)
+    # Later calls replace rows and never touch a returned map.
+    for num_done, actual, expected in returned:
+        assert row_bits(actual) == expected, num_done
+    return result, sum(1 for num_done, _, _ in returned if num_done)
+
+
+STEP_LAYERS = (1, 3, 10, 1000)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("holes", (0, 20))
+@pytest.mark.parametrize("mid", (1.0, 2.0, 3.0, 5.0))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_weights_match_the_walk_at_every_schedule_step(family, mid, holes,
+                                                       policy, monkeypatch):
+    circuit = build_circuit(family, PROGRAM_SIZE)
+    with monkeypatch.context() as patch:
+        for name, value in POLICIES[policy].items():
+            patch.setattr(weights, name, value)
+        for max_layers in STEP_LAYERS:
+            config = CompilerConfig(max_interaction_distance=mid,
+                                    lookahead_layers=max_layers)
+            checked_compile(patch, circuit, holey(mid, holes, holes), config)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_weights_match_the_walk_through_a_livelocked_recompile(policy,
+                                                               monkeypatch):
+    topology = Topology.square(GRID_SIDE, 2.0)
+    for site in STALLED_HOLES:
+        topology.remove_atom(site)
+    with monkeypatch.context() as patch:
+        for name, value in POLICIES[policy].items():
+            patch.setattr(weights, name, value)
+        result, rescored = checked_compile(
+            patch, build_circuit("cnu", 20), topology,
+            CompilerConfig(max_interaction_distance=2.0))
+    assert result is SchedulingStalledError
+    assert rescored > 0
 
 
 # -- routing: one proposal per randomized state -------------------------------

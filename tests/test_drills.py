@@ -7,9 +7,11 @@ interrupting the server with SIGINT, which must drain and exit 130.
 Stores, compile caches and traces live under ``tmp_path``.
 """
 
+import http.client
 import json
 import re
 import threading
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -90,6 +92,41 @@ def test_serve_miss_then_hit_equal_cli_bytes(serve_process, tmp_path,
     assert (fleet["claims"] == fleet["completions"]
             == metrics["jobs"]["completed"] == 1), fleet
     assert fleet["leases_reclaimed"] == 0, fleet
+    serve_process.stop()
+
+
+def test_three_requests_on_one_kept_alive_connection(serve_process,
+                                                     tmp_path, cli_bytes):
+    """A run miss, its replay and a result fetch, in turn on one
+    HTTP/1.1 connection: each answer is whole and correct, and the
+    connection stays open between them."""
+    base = _serve(serve_process, tmp_path, "--jobs", "1")
+    url = urllib.parse.urlsplit(base)
+    connection = http.client.HTTPConnection(url.hostname, url.port,
+                                            timeout=60)
+    run = json.dumps({"experiment": "validation", "quick": True,
+                      "wait": True}).encode()
+    answers = []
+    sockets = []
+    try:
+        for method, path, body in (("POST", "/run", run),
+                                   ("POST", "/run", run),
+                                   ("GET", None, None)):
+            if path is None:
+                path = "/results/" + answers[0][1]["X-Repro-Key"]
+            connection.request(method, path, body=body, headers={
+                "Content-Type": "application/json"})
+            sockets.append(connection.sock)
+            response = connection.getresponse()
+            answers.append((response.status, dict(response.getheaders()),
+                            response.read()))
+    finally:
+        connection.close()
+    assert [status for status, _, _ in answers] == [200, 200, 200]
+    assert [headers.get("X-Repro-Store") for _, headers, _ in answers] \
+        == ["miss", "hit", None]
+    assert [body for _, _, body in answers] == [cli_bytes] * 3
+    assert sockets[0] is sockets[1] is sockets[2]
     serve_process.stop()
 
 

@@ -267,23 +267,30 @@ class TestFig13:
         assert "Successful Shots" in result.format()
 
 
+@pytest.fixture(scope="module")
+def fig14_run():
+    """One default-size, 20-shot Fig 14 run: at this program size the
+    20 shots include a reload."""
+    return fig14_timeline.run(target_shots=20)
+
+
 class TestFig14:
-    def test_twenty_successful_shots(self):
-        result = fig14_timeline.run(program_size=16, target_shots=10)
-        assert result.run_result.shots_successful == 10
-        text = result.format()
+    def test_twenty_successful_shots(self, fig14_run):
+        assert fig14_run.run_result.shots_successful == 20
+        assert fig14_run.run_result.time_by_kind()["reload"] > 0.0
+        text = fig14_run.format()
         assert "Timeline" in text
         assert "reload" in text
 
-    def test_reload_and_fluorescence_dominate(self):
-        result = fig14_timeline.run(program_size=16, target_shots=10)
-        kinds = result.run_result.time_by_kind()
+    def test_reload_and_fluorescence_dominate(self, fig14_run):
+        run_result = fig14_run.run_result
+        kinds = run_result.time_by_kind()
+        assert kinds["reload"] > 0.0
         overhead = kinds["reload"] + kinds["fluorescence"]
-        assert overhead > 0.5 * result.run_result.total_time
+        assert overhead > 0.5 * run_result.total_time
 
-    def test_circuit_execution_is_negligible(self):
-        # The default program size, so the 20 shots include a reload.
-        run_result = fig14_timeline.run(target_shots=20).run_result
+    def test_circuit_execution_is_negligible(self, fig14_run):
+        run_result = fig14_run.run_result
         assert run_result.shots_successful == 20
         kinds = run_result.time_by_kind()
         assert kinds["reload"] > 0.0

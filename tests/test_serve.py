@@ -757,6 +757,50 @@ class TestConnectionThreads:
             assert not thread.is_alive()
 
 
+class _WriteLog:
+    """A handler's ``wfile`` that records every write it passes on."""
+
+    def __init__(self, wfile, writes):
+        self._wfile = wfile
+        self.writes = writes
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+def test_a_response_leaves_in_one_write_with_nagle_off(server, monkeypatch):
+    """Status line, headers and body go out in one write on a socket
+    with TCP_NODELAY: with Nagle's algorithm on, a second write on a
+    kept-alive connection waits for the client's delayed ACK."""
+    connections = []
+    setup = ReproRequestHandler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        nodelay = handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                socket.TCP_NODELAY)
+        writes = []
+        handler.wfile = _WriteLog(handler.wfile, writes)
+        connections.append((nodelay, writes))
+
+    monkeypatch.setattr(ReproRequestHandler, "setup", recording_setup)
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=30) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                     b"Connection: close\r\n\r\n")
+        reply = _read_until_closed(sock)
+    [(nodelay, writes)] = connections
+    assert nodelay
+    assert writes == [reply]
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(body)["status"] == "ok"
+
+
 @pytest.mark.parametrize("length", ["-23", "abc", "1_0"])
 def test_malformed_content_length_gets_one_response(server, length):
     """A Content-Length that is not decimal digits is a 400 that closes

@@ -17,6 +17,7 @@ The contracts under test, transport-free and over a real socket:
 import dataclasses
 import json
 import time
+import types
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.exec.cache import CompileCache
 from repro.serve.app import ServeApp
 from repro.serve.jobs import DONE, JobQueue
 from repro.serve.metrics import ServeMetrics
+from repro.serve.sweeps import SweepRecord, SweepTable
 
 
 @pytest.fixture(autouse=True)
@@ -217,6 +219,80 @@ class TestDedupAndReplay:
                        for record in lines[:-1])
         finally:
             after.jobs.shutdown(wait=True)
+
+
+class _MissingStore:
+    """A result store every cell misses."""
+
+    def replay(self, key, experiment, trace=None):
+        return None
+
+
+class _HeldJobs:
+    """A job queue that runs nothing: a sweep's jobs finish when the
+    test calls :meth:`finish`."""
+
+    def __init__(self):
+        self.metrics = ServeMetrics()
+        self._jobs = {}
+
+    def submit(self, experiment, key, quick, params, force=False):
+        job = types.SimpleNamespace(
+            id=f"job-{len(self._jobs)}", status=DONE, envelope={},
+            error=None, tasks_executed=1, wall_s=0.0)
+        self._jobs[job.id] = [job, None]
+        return job, False
+
+    def on_done(self, job, callback):
+        self._jobs[job.id][1] = callback
+
+    def finish(self, record):
+        for state in record.cells:
+            job, callback = self._jobs[state.job_id]
+            callback(job)
+
+
+class TestRetention:
+    """The table keeps every unfinished sweep and the ``max_finished``
+    finished sweeps submitted last, whatever order they finish in."""
+
+    def _table(self):
+        jobs = _HeldJobs()
+        return SweepTable(_MissingStore(), jobs, max_finished=2), jobs
+
+    def test_keeps_the_unfinished_and_the_last_submitted_finished(self):
+        table, jobs = self._table()
+        spec = SweepSpec(FAST, quick=True)
+        a, b, c, d, e = (table.submit(spec) for _ in range(5))
+
+        def tracked(*records):
+            return [record for record in records
+                    if table.get(record.id) is not None]
+
+        for record in (c, a, e):
+            jobs.finish(record)
+        # Pruning happens on submit: a is the earliest-submitted of
+        # the three finished sweeps.
+        assert tracked(a, b, c, d, e) == [a, b, c, d, e]
+        f = table.submit(spec)
+        assert tracked(a, b, c, d, e, f) == [b, c, d, e, f]
+        for record in (f, b, d):
+            jobs.finish(record)
+        g = table.submit(spec)
+        assert tracked(a, b, c, d, e, f, g) == [e, f, g]
+        assert table.describe() == {"tracked": 3, "active": 1}
+
+    def test_a_submit_reads_no_other_sweep(self, monkeypatch):
+        table, jobs = self._table()
+        spec = SweepSpec(FAST, quick=True)
+        for _ in range(20):
+            jobs.finish(table.submit(spec))
+        asked = []
+        monkeypatch.setattr(SweepRecord, "finished",
+                            lambda record: asked.append(record) or True)
+        for _ in range(20):
+            table.submit(spec)
+        assert asked == []
 
 
 class TestStreamLifecycle:
